@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak clean
+.PHONY: all build test race vet fmt lint-metrics check verify conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak perfbench-test clean
 
 all: build
 
@@ -120,6 +120,12 @@ race-obs:
 # failure reproduces exactly.
 monitor-soak:
 	$(GO) test -count=1 -run 'TestMonitorChaosSoak|TestAlertLadderEndToEnd' -v ./internal/monitor/
+
+# perfbench-test vets and runs the benchmark's own tests. perfbench/ is
+# a separate module, so the root `go test ./...` does not reach it, yet
+# it compiles against the shard, codes and raidsim APIs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -252,7 +252,7 @@ func BenchmarkScrub(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if col != liberation.CleanColumn {
+		if col != core.CleanColumn {
 			s.Strips[3][100] ^= 0x5a // re-corrupt for the next round
 		}
 	}

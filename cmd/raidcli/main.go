@@ -358,6 +358,9 @@ func cmdEncode(args []string) error {
 				name, info.M, iof.parities)
 		}
 	}
+	if fi, err := os.Stat(*out); err != nil || !fi.IsDir() {
+		return usagef("-out %s is not an existing directory (encode does not create it)", *out)
+	}
 	path := fs.Arg(0)
 	f, err := os.Open(path)
 	if err != nil {

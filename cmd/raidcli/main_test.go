@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -143,6 +144,15 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 	if got := realMain([]string{"verify", manifest}); got != exitUnrecoverable {
 		t.Errorf("unrecoverable verify: exit %d, want %d", got, exitUnrecoverable)
+	}
+
+	// Encoding into a directory that does not exist is a usage error
+	// naming the directory, raised before any shard is written.
+	missing := filepath.Join(dir, "nope", "deeper")
+	err := run("encode", []string{"-k", "4", "-out", missing, filepath.Join(dir, "blob.bin")})
+	if exitCode(err) != exitUsage || err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("encode -out into a missing directory: err %v (exit %d), want a usage error naming %s",
+			err, exitCode(err), missing)
 	}
 }
 

@@ -50,10 +50,10 @@ func TestAPIEndpoints(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// The scrub episodes moved raid.scrub_repairs; the time-series store
+	// The scrub episodes moved raid.scrub.repairs; the time-series store
 	// sampled it every step.
 	var qr monitor.QueryResponse
-	if code := getJSON("/api/v1/query?metric=raid.scrub_repairs&fn=increase&window=10m", &qr); code != http.StatusOK {
+	if code := getJSON("/api/v1/query?metric=raid.scrub.repairs&fn=increase&window=10m", &qr); code != http.StatusOK {
 		t.Fatalf("/api/v1/query: status %d", code)
 	}
 	if qr.Value == nil || *qr.Value == 0 {
@@ -97,7 +97,7 @@ func TestAPIEndpoints(t *testing.T) {
 func TestRulesFileFlag(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "alerts.json")
-	rules := `{"rules": [{"name": "scrubs", "metric": "raid.scrub_repairs",
+	rules := `{"rules": [{"name": "scrubs", "metric": "raid.scrub.repairs",
 		"kind": "threshold", "op": ">", "value": 0, "window": "5m", "severity": "critical"}]}`
 	if err := os.WriteFile(path, []byte(rules), 0o644); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestConcurrentAPIScrapes(t *testing.T) {
 	for _, path := range []string{
 		"/api/v1/health",
 		"/api/v1/alerts",
-		"/api/v1/query?metric=raid.scrub_repairs&fn=rate&window=30s",
+		"/api/v1/query?metric=raid.scrub.repairs&fn=rate&window=30s",
 		"/metrics?format=json",
 	} {
 		wg.Add(1)

@@ -92,7 +92,7 @@ func TestServesLiveMetrics(t *testing.T) {
 	if snap.Counters["raid.stripes_rebuilt"] == 0 {
 		t.Error("fault episode did not rebuild any stripes")
 	}
-	if snap.Counters["raid.scrub_repairs"] == 0 {
+	if snap.Counters["raid.scrub.repairs"] == 0 {
 		t.Error("scrub episode did not repair the injected corruption")
 	}
 	if snap.Gauges["raid.rebuild.progress"] != 1 {

@@ -3,11 +3,9 @@ package bitmatrix
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Scheduling selects how matrices are turned into XOR schedules.
@@ -55,9 +53,6 @@ type Code struct {
 	encFast  FusedSchedule
 	decMu    sync.Mutex
 	decCache map[[2]int]FusedSchedule
-
-	obs        *obs.Registry // optional metrics sink (see Instrument)
-	spanPrefix string        // name up to the parameter list, e.g. "liberation-orig"
 }
 
 // NewCode builds a schedule-based code from a generator matrix. The
@@ -70,10 +65,6 @@ func NewCode(name string, k, w int, gen *Matrix, enc, dec Scheduling) (*Code, er
 	}
 	c := &Code{name: name, k: k, w: w, gen: gen, enc: enc, dec: dec,
 		decCache: make(map[[2]int]FusedSchedule)}
-	c.spanPrefix = name
-	if i := strings.IndexByte(name, '('); i >= 0 {
-		c.spanPrefix = name[:i]
-	}
 	c.encSched = c.buildEncodeSchedule()
 	c.encFast = c.encSched.Fuse()
 	return c, nil
@@ -115,11 +106,6 @@ func (c *Code) buildEncodeSchedule() Schedule {
 
 // Encode computes the parity strips by running the encode schedule.
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, c.spanPrefix+".encode", s.DataSize(), 2*c.w, ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
-}
-
-func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.w); err != nil {
 		return err
 	}
@@ -135,11 +121,6 @@ func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 
 // Decode reconstructs up to two erased strips.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, c.spanPrefix+".decode", s.DataSize(), len(erased)*c.w, ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
-}
-
-func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.w); err != nil {
 		return err
 	}

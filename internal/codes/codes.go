@@ -14,9 +14,11 @@
 // code without knowing any family's parameter constraints.
 //
 // Capabilities beyond plain encode/decode are discovered at runtime via
-// interface assertions, never by name: core.Updater (small writes),
-// core.ColumnCorrector (silent-error localization), and obs.Observable
-// (metrics instrumentation).
+// interface assertions, never by name: core.Updater (small writes) and
+// core.ColumnCorrector (silent-error localization). Metrics are the one
+// seam of Observe, which decorates any code with per-operation spans and
+// keeps those capabilities intact; the code packages themselves record
+// nothing.
 package codes
 
 import (
@@ -217,16 +219,15 @@ func New(name string, k, p int) (core.Code, error) {
 	return info.New(k, p)
 }
 
-// NewObserved is New plus metrics: when the constructed code is
-// obs.Observable the registry is attached, so per-operation spans land
-// wherever the calling layer reports.
+// NewObserved is New plus metrics: the constructed code is decorated by
+// Observe, so per-operation spans land wherever the calling layer
+// reports. A nil registry returns the bare code.
 func NewObserved(name string, k, p int, reg *obs.Registry) (core.Code, error) {
 	code, err := New(name, k, p)
 	if err != nil {
 		return nil, err
 	}
-	obs.InstrumentCode(code, reg)
-	return code, nil
+	return Observe(code, reg), nil
 }
 
 // Prime extracts the resolved prime parameter from a constructed code

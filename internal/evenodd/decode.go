@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Decode reconstructs up to two erased strips using the published EVENODD
@@ -14,11 +13,6 @@ import (
 // constraints, starting from the diagonals whose cell in the peer column
 // is the imaginary row.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "evenodd.decode", s.DataSize(), len(erased)*(c.p-1), ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
-}
-
-func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.p-1); err != nil {
 		return err
 	}
@@ -40,7 +34,7 @@ func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 		}
 		switch {
 		case a >= c.k: // P and Q
-			return c.encode(s, ops)
+			return c.Encode(s, ops)
 		case b == c.k: // data + P
 			if err := c.recoverDataViaQ(s, a, ops); err != nil {
 				return err

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Code is an EVENODD code instance with k data strips over a
@@ -28,8 +27,6 @@ import (
 type Code struct {
 	k int
 	p int
-
-	obs *obs.Registry // optional metrics sink (see Instrument)
 }
 
 // New returns the EVENODD code with k data strips and prime parameter p.
@@ -79,11 +76,6 @@ func (c *Code) elem(s *core.Stripe, col, row int) []byte {
 // constraint and S is folded into each Q element, which reproduces the
 // ~(2k-1)/2 XORs-per-parity-bit cost of the published construction.
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "evenodd.encode", s.DataSize(), 2*(c.p-1), ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
-}
-
-func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.p-1); err != nil {
 		return err
 	}

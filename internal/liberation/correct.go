@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/xorblk"
 )
 
@@ -13,11 +12,6 @@ import (
 // consistent with more than one corrupted strip (or with none), i.e. the
 // corruption is not confined to a single column.
 var ErrAmbiguousCorruption = errors.New("liberation: corruption not attributable to a single column")
-
-// CleanColumn is returned by CorrectColumn when no corruption is present.
-// It now lives in core (the capability home of core.ColumnCorrector);
-// this alias keeps existing callers compiling.
-const CleanColumn = core.CleanColumn
 
 // correctScratch is the reusable working set of one CorrectColumn call:
 // the syndrome rows dP/dQ, the per-candidate prediction rows, and the
@@ -91,7 +85,7 @@ func xorRow(ops *core.Ops, dst []byte, srcs [][]byte) {
 // CorrectColumn scans a full stripe (no erasures) for a single silently
 // corrupted strip and repairs it in place — the single-column error
 // correction the paper provides to protect against silent data
-// corruption. It returns the index of the repaired strip, or CleanColumn
+// corruption. It returns the index of the repaired strip, or core.CleanColumn
 // if the parities verify.
 //
 // The method: form the row discrepancy dP and anti-diagonal discrepancy
@@ -112,18 +106,6 @@ func xorRow(ops *core.Ops, dst []byte, srcs [][]byte) {
 // working set comes from a per-Code pool and no expected stripe is ever
 // materialized.
 func (c *Code) CorrectColumn(s *core.Stripe, ops *core.Ops) (int, error) {
-	if c.obs == nil {
-		return c.correctColumn(s, ops)
-	}
-	sp := obs.StartSpan(c.obs, "liberation.correct")
-	var local core.Ops
-	col, err := c.correctColumn(s, &local)
-	ops.Add(local)
-	sp.Bytes(s.DataSize()).Ops(local).End(err)
-	return col, err
-}
-
-func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 	if err := s.CheckShape(c.k, 2, c.p); err != nil {
 		return 0, err
 	}
@@ -166,7 +148,7 @@ func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 
 	switch {
 	case len(sc.nzP) == 0 && len(sc.nzQ) == 0:
-		return CleanColumn, nil
+		return core.CleanColumn, nil
 	case len(sc.nzP) != 0 && len(sc.nzQ) == 0:
 		// Only the row parity disagrees: the P strip is corrupt, and dP
 		// is exactly its error pattern.
@@ -202,7 +184,7 @@ func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 		}
 		ops.XorInto(sc.pred[q], src)
 	}
-	candidate := CleanColumn
+	candidate := core.CleanColumn
 	for col := 0; col < k; col++ {
 		clearDirty()
 		for _, i := range sc.nzP {
@@ -227,13 +209,13 @@ func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 			}
 		}
 		if match {
-			if candidate != CleanColumn {
+			if candidate != core.CleanColumn {
 				return 0, ErrAmbiguousCorruption
 			}
 			candidate = col
 		}
 	}
-	if candidate == CleanColumn {
+	if candidate == core.CleanColumn {
 		return 0, ErrAmbiguousCorruption
 	}
 	for _, i := range sc.nzP {

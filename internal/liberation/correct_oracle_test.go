@@ -12,7 +12,7 @@ import (
 // implementation, kept verbatim as the test oracle for the streamed
 // rewrite: it re-encodes a full shadow copy of the stripe and diffs the
 // parities. Slow and allocation-heavy, but independently derived from the
-// defining equations via encodeFull.
+// defining equations via Encode.
 func (c *Code) correctColumnOracle(s *core.Stripe, ops *core.Ops) (int, error) {
 	if err := s.CheckShape(c.k, 2, c.p); err != nil {
 		return 0, err
@@ -21,7 +21,7 @@ func (c *Code) correctColumnOracle(s *core.Stripe, ops *core.Ops) (int, error) {
 	elemSize := s.ElemSize
 
 	expect := s.Clone()
-	if err := c.encodeFull(expect, ops); err != nil {
+	if err := c.Encode(expect, ops); err != nil {
 		return 0, err
 	}
 	dP := make([][]byte, p)
@@ -38,7 +38,7 @@ func (c *Code) correctColumnOracle(s *core.Stripe, ops *core.Ops) (int, error) {
 	}
 	switch {
 	case zeroP && zeroQ:
-		return CleanColumn, nil
+		return core.CleanColumn, nil
 	case !zeroP && zeroQ:
 		ops.Copy(s.Strips[k], expect.Strips[k])
 		return k, nil
@@ -49,7 +49,7 @@ func (c *Code) correctColumnOracle(s *core.Stripe, ops *core.Ops) (int, error) {
 
 	pred := make([]byte, p*elemSize)
 	diff := make([]byte, elemSize)
-	candidate := CleanColumn
+	candidate := core.CleanColumn
 	for col := 0; col < k; col++ {
 		for i := range pred {
 			pred[i] = 0
@@ -70,13 +70,13 @@ func (c *Code) correctColumnOracle(s *core.Stripe, ops *core.Ops) (int, error) {
 			match = xorblk.IsZero(diff)
 		}
 		if match {
-			if candidate != CleanColumn {
+			if candidate != core.CleanColumn {
 				return 0, ErrAmbiguousCorruption
 			}
 			candidate = col
 		}
 	}
-	if candidate == CleanColumn {
+	if candidate == core.CleanColumn {
 		return 0, ErrAmbiguousCorruption
 	}
 	for i := 0; i < p; i++ {
@@ -129,7 +129,7 @@ func TestCorrectColumnMatchesOracle(t *testing.T) {
 			if errA == nil && !a.Equal(b) {
 				t.Fatalf("k=%d p=%d %s: repaired stripes diverge", k, p, name)
 			}
-			if errA == nil && colA != CleanColumn && !a.Equal(base) {
+			if errA == nil && colA != core.CleanColumn && !a.Equal(base) {
 				t.Fatalf("k=%d p=%d %s: repair did not restore the stripe", k, p, name)
 			}
 		}
@@ -219,7 +219,7 @@ func TestCorrectColumnZeroAllocs(t *testing.T) {
 	}
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		if col, err := c.CorrectColumn(s, nil); err != nil || col != CleanColumn {
+		if col, err := c.CorrectColumn(s, nil); err != nil || col != core.CleanColumn {
 			t.Fatalf("clean verify: col=%d err=%v", col, err)
 		}
 	}); allocs != 0 {
@@ -254,7 +254,7 @@ func TestCorrectColumnXORCount(t *testing.T) {
 	}
 
 	var ops core.Ops
-	if col, err := c.CorrectColumn(s, &ops); err != nil || col != CleanColumn {
+	if col, err := c.CorrectColumn(s, &ops); err != nil || col != core.CleanColumn {
 		t.Fatalf("clean: col=%d err=%v", col, err)
 	}
 	if want := uint64(183); ops.XORs != want {

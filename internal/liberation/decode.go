@@ -15,16 +15,6 @@ import (
 // (iterative retrieval); the remaining cases reduce to row/diagonal
 // recovery plus (partial) re-encoding, as Section III-C notes.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	if c.obs != nil {
-		// Units: erased strips * p elements each — the denominator of the
-		// paper's XORs-per-missing-bit metric.
-		return c.observed("liberation.decode", s.DataSize(), len(erased)*c.p, ops,
-			func(o *core.Ops) error { return c.decode(s, erased, o) })
-	}
-	return c.decode(s, erased, ops)
-}
-
-func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.p); err != nil {
 		return err
 	}
@@ -46,7 +36,7 @@ func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 		}
 		switch {
 		case a >= c.k: // P and Q
-			return c.encodeFull(s, ops)
+			return c.Encode(s, ops)
 		case b == c.k: // data + P
 			if err := c.recoverDataViaQ(s, a, ops); err != nil {
 				return err
@@ -448,9 +438,7 @@ func (c *Code) DecodeXORs(erased []int) (int, error) {
 	sorted := append([]int(nil), erased...)
 	sort.Ints(sorted)
 	var ops core.Ops
-	// Use the uninstrumented path: the counting probe is not a real
-	// decode and must not show up in the metrics.
-	if err := c.decode(s, sorted, &ops); err != nil {
+	if err := c.Decode(s, sorted, &ops); err != nil {
 		return 0, err
 	}
 	return int(ops.XORs), nil

@@ -33,17 +33,6 @@ type planCache struct {
 // theoretical lower bound of k-1 XORs per parity bit, for every
 // 2 <= k <= p.
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	if c.obs != nil {
-		return c.observed("liberation.encode", s.DataSize(), 2*c.p, ops,
-			func(o *core.Ops) error { return c.encodeFull(s, o) })
-	}
-	return c.encodeFull(s, ops)
-}
-
-// encodeFull is Encode without the instrumentation wrapper; internal
-// callers (decode's re-encoding cases, the scrubber) use it so nested
-// work is attributed to the operation the caller is recording.
-func (c *Code) encodeFull(s *core.Stripe, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.p); err != nil {
 		return err
 	}

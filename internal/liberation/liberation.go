@@ -35,7 +35,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Code is a Liberation code instance with k data columns over a p x (p+2)
@@ -49,8 +48,6 @@ type Code struct {
 	plans planCache // compiled operation sequences (lazy)
 
 	scratch sync.Pool // *correctScratch, reused across CorrectColumn calls
-
-	obs *obs.Registry // optional metrics sink (see Instrument)
 }
 
 // New returns the Liberation code with k data strips and prime parameter

@@ -1,10 +1,12 @@
-package liberation
+package liberation_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/codes"
 	"repro/internal/core"
+	"repro/internal/liberation"
 	"repro/internal/obs"
 )
 
@@ -18,6 +20,17 @@ func randomStripe(k, p, elemSize int, seed int64) *core.Stripe {
 	return s
 }
 
+// observed builds a Liberation code and its span-recording decoration.
+func observed(t *testing.T, k, p int) (*liberation.Code, core.Code, *obs.Registry) {
+	t.Helper()
+	c, err := liberation.New(k, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	return c, codes.Observe(c, reg), reg
+}
+
 // TestInstrumentedEncodeMatchesOps is the acceptance check that the span
 // counters in Registry.Snapshot() agree bit-for-bit with the core.Ops
 // accounting, and that the derived XORs-per-parity-element is exactly the
@@ -26,18 +39,13 @@ func randomStripe(k, p, elemSize int, seed int64) *core.Stripe {
 func TestInstrumentedEncodeMatchesOps(t *testing.T) {
 	for _, sh := range [][2]int{{5, 5}, {4, 7}, {10, 11}} {
 		k, p := sh[0], sh[1]
-		c, err := New(k, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		c.Instrument(reg)
+		c, code, reg := observed(t, k, p)
 
 		const calls = 7
 		var ops core.Ops
 		s := randomStripe(k, p, 64, 1)
 		for n := 0; n < calls; n++ {
-			if err := c.Encode(s, &ops); err != nil {
+			if err := code.Encode(s, &ops); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,29 +88,24 @@ func TestInstrumentedEncodeMatchesOps(t *testing.T) {
 
 // TestInstrumentedDecodeMatchesOps checks the decode span against the
 // closed-form DecodeXORs count for a spread of erasure patterns, and that
-// uninstrumented codes never touch a registry.
+// work done through the bare code never reaches the registry.
 func TestInstrumentedDecodeMatchesOps(t *testing.T) {
 	k, p := 5, 5
-	c, err := New(k, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	c.Instrument(reg)
+	c, code, reg := observed(t, k, p)
 
 	patterns := [][]int{{1, 3}, {0, 4}, {2, k}, {k, k + 1}, {0}}
 	wantXORs := uint64(0)
 	var ops core.Ops
 	for _, erased := range patterns {
 		s := randomStripe(k, p, 32, 42)
-		if err := c.encodeFull(s, nil); err != nil {
+		if err := c.Encode(s, nil); err != nil {
 			t.Fatal(err)
 		}
 		golden := s.Clone()
 		for _, col := range erased {
 			s.ZeroStrip(col)
 		}
-		if err := c.Decode(s, erased, &ops); err != nil {
+		if err := code.Decode(s, erased, &ops); err != nil {
 			t.Fatalf("decode %v: %v", erased, err)
 		}
 		if !s.Equal(golden) {
@@ -115,7 +118,11 @@ func TestInstrumentedDecodeMatchesOps(t *testing.T) {
 		wantXORs += uint64(n)
 	}
 
-	st := reg.Snapshot().Spans["liberation.decode"]
+	snap := reg.Snapshot()
+	if _, ok := snap.Spans["liberation.encode"]; ok {
+		t.Error("encodes through the bare code recorded a span")
+	}
+	st := snap.Spans["liberation.decode"]
 	if st.Calls != uint64(len(patterns)) {
 		t.Errorf("decode calls = %d, want %d", st.Calls, len(patterns))
 	}
@@ -133,25 +140,25 @@ func TestInstrumentedDecodeMatchesOps(t *testing.T) {
 // TestInstrumentedUpdateAndCorrect exercises the two remaining spans.
 func TestInstrumentedUpdateAndCorrect(t *testing.T) {
 	k, p := 4, 5
-	c, err := New(k, p)
-	if err != nil {
-		t.Fatal(err)
+	_, code, reg := observed(t, k, p)
+	u, ok := code.(core.Updater)
+	if !ok {
+		t.Fatal("decorated code lost core.Updater")
 	}
-	reg := obs.NewRegistry()
-	c.Instrument(reg)
-	if c.Registry() != reg {
-		t.Fatal("Registry() should return the instrumented sink")
+	cc, ok := code.(core.ColumnCorrector)
+	if !ok {
+		t.Fatal("decorated code lost core.ColumnCorrector")
 	}
 
 	s := randomStripe(k, p, 16, 7)
 	var ops core.Ops
-	if err := c.Encode(s, &ops); err != nil {
+	if err := code.Encode(s, &ops); err != nil {
 		t.Fatal(err)
 	}
 
 	old := append([]byte(nil), s.Elem(1, 2)...)
 	s.Elem(1, 2)[0] ^= 0xff
-	touched, err := c.Update(s, 1, 2, old, &ops)
+	touched, err := u.Update(s, 1, 2, old, &ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +167,7 @@ func TestInstrumentedUpdateAndCorrect(t *testing.T) {
 	}
 
 	s.Elem(2, 0)[0] ^= 0x55 // silent corruption
-	col, err := c.CorrectColumn(s, &ops)
+	col, err := cc.CorrectColumn(s, &ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,113 +183,5 @@ func TestInstrumentedUpdateAndCorrect(t *testing.T) {
 	cor := snap.Spans["liberation.correct"]
 	if cor.Calls != 1 || cor.XORs == 0 {
 		t.Errorf("correct span calls=%d xors=%d, want 1 call with XOR work", cor.Calls, cor.XORs)
-	}
-}
-
-// TestTraceDecode checks the Algorithm 2-4 trace: the zig-zag makes
-// exactly p iterations (Algorithm 4 retrieves two elements per step over
-// p rows), the traced XOR count equals the executable schedule's, and
-// the total stays within the paper's near-optimal envelope — at most the
-// 2p(k-1) encoding bound plus one extra XOR per computed syndrome.
-func TestTraceDecode(t *testing.T) {
-	for _, sh := range [][2]int{{3, 3}, {5, 5}, {5, 7}, {8, 11}, {13, 13}} {
-		k, p := sh[0], sh[1]
-		c, err := New(k, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l := 0; l < k; l++ {
-			for r := l + 1; r < k; r++ {
-				tr, err := c.TraceDecode(l, r)
-				if err != nil {
-					t.Fatalf("k=%d p=%d (%d,%d): %v", k, p, l, r, err)
-				}
-				// L and R record the orientation Algorithm 2 actually
-				// chose; Swapped says whether it flipped the canonical pair.
-				lo, hi := tr.L, tr.R
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if tr.K != k || tr.P != p || lo != l || hi != r {
-					t.Fatalf("k=%d p=%d (%d,%d): trace header K=%d P=%d L=%d R=%d",
-						k, p, l, r, tr.K, tr.P, tr.L, tr.R)
-				}
-				if tr.Swapped != (tr.L != l) {
-					t.Errorf("k=%d p=%d (%d,%d): Swapped=%v inconsistent with L=%d",
-						k, p, l, r, tr.Swapped, tr.L)
-				}
-				if tr.StepCount() != p {
-					t.Errorf("k=%d p=%d (%d,%d): %d zig-zag steps, want p=%d",
-						k, p, l, r, tr.StepCount(), p)
-				}
-				want, err := c.DecodeXORs([]int{l, r})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tr.XORs != want {
-					t.Errorf("k=%d p=%d (%d,%d): trace XORs %d != DecodeXORs %d",
-						k, p, l, r, tr.XORs, want)
-				}
-				if bound := 2*p*(k-1) + tr.SyndromeSum(); tr.XORs > bound {
-					t.Errorf("k=%d p=%d (%d,%d): %d XORs exceeds near-optimal bound %d",
-						k, p, l, r, tr.XORs, bound)
-				}
-				if tr.RowSyndromes == 0 || tr.DiagSyndromes == 0 {
-					t.Errorf("k=%d p=%d (%d,%d): syndrome sets not recorded", k, p, l, r)
-				}
-				// Algorithm 3 reuses exactly the common expressions whose
-				// pair of columns survives.
-				wantReuse := 0
-				for j := 1; j < k; j++ {
-					if l != j-1 && l != j && r != j-1 && r != j {
-						wantReuse++
-					}
-				}
-				if tr.CommonReuse != wantReuse {
-					t.Errorf("k=%d p=%d (%d,%d): CommonReuse=%d, want %d",
-						k, p, l, r, tr.CommonReuse, wantReuse)
-				}
-			}
-		}
-	}
-}
-
-// TestTraceDecodeP5Case pins the paper's worked p=5 example: decoding
-// data pair (1,3) costs 41 XORs, 1.025x the 40-XOR encoding bound, and
-// the trace shows at least one common-expression reuse.
-func TestTraceDecodeP5Case(t *testing.T) {
-	c, err := New(5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := c.TraceDecode(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.XORs != 41 {
-		t.Errorf("p=5 (1,3): %d XORs, want 41", tr.XORs)
-	}
-	if tr.StepCount() != 5 {
-		t.Errorf("p=5 (1,3): %d steps, want 5", tr.StepCount())
-	}
-	// Erasing (1,3) touches every adjacent-column pair of k=5, so no
-	// common expression survives to reuse; pair (0,4) leaves two.
-	if tr.CommonReuse != 0 {
-		t.Errorf("p=5 (1,3): CommonReuse=%d, want 0", tr.CommonReuse)
-	}
-	if tr2, err := c.TraceDecode(0, 4); err != nil {
-		t.Fatal(err)
-	} else if tr2.CommonReuse != 2 {
-		t.Errorf("p=5 (0,4): CommonReuse=%d, want 2", tr2.CommonReuse)
-	}
-	if s := tr.String(); s == "" || s == "decode-trace(nil)" {
-		t.Errorf("trace String() = %q", s)
-	}
-
-	if _, err := c.TraceDecode(1, 1); err == nil {
-		t.Error("TraceDecode(1,1) should reject a degenerate pair")
-	}
-	if _, err := c.TraceDecode(-1, 2); err == nil {
-		t.Error("TraceDecode(-1,2) should reject out-of-range columns")
 	}
 }

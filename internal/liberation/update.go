@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/xorblk"
 )
 
@@ -19,18 +18,6 @@ import (
 //
 // It returns the number of parity elements modified.
 func (c *Code) Update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Ops) (int, error) {
-	if c.obs == nil {
-		return c.update(s, col, row, oldElem, ops)
-	}
-	sp := obs.StartSpan(c.obs, "liberation.update")
-	var local core.Ops
-	touched, err := c.update(s, col, row, oldElem, &local)
-	ops.Add(local)
-	sp.Bytes(s.ElemSize).Units(touched).Ops(local).End(err)
-	return touched, err
-}
-
-func (c *Code) update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Ops) (int, error) {
 	if err := s.CheckShape(c.k, 2, c.p); err != nil {
 		return 0, err
 	}

@@ -95,7 +95,7 @@ func TestCorrectColumn(t *testing.T) {
 		// Clean stripe: nothing to fix.
 		s := clean.Clone()
 		got, err := c.CorrectColumn(s, nil)
-		if err != nil || got != CleanColumn {
+		if err != nil || got != core.CleanColumn {
 			t.Fatalf("clean stripe: got %d, %v", got, err)
 		}
 		// Corrupt each strip (data, P, Q) in turn.

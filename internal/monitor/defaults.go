@@ -25,7 +25,7 @@ func DefaultRules() []Rule {
 			Window: Duration(5 * time.Minute), Severity: SeverityCritical,
 		},
 		{
-			Name: "scrub-repairs", Metric: "raid.scrub_repairs",
+			Name: "scrub-repairs", Metric: "raid.scrub.repairs",
 			Kind: RuleThreshold, Op: ">", Value: 2,
 			Window: Duration(5 * time.Minute), For: Duration(5 * time.Second),
 			Severity: SeverityWarning,

@@ -92,7 +92,7 @@ var healthSignals = []healthSignal{
 	{"shard.rung.skip.total", Degraded, "degradation-ladder rungs skipped"},
 	{"shard.correct_column.total", Degraded, "silent-corruption column corrections"},
 	{"faultstore.injected.total", Degraded, "injected faults"},
-	{"raid.scrub_repairs", Degraded, "scrub corruption repairs"},
+	{"raid.scrub.repairs", Degraded, "scrub corruption repairs"},
 	{"raid.degraded_reads", Degraded, "degraded reads"},
 	{"nodestore.down.total", Degraded, "operations refused by down nodes"},
 	{"nodestore.replaced.total", Degraded, "shards re-placed onto spare nodes"},

@@ -114,9 +114,9 @@ func (ts *TSStore) Avg(name string, window time.Duration, now time.Time) (float6
 
 // Select returns the sorted canonical names of the labeled children of
 // base whose label sets contain every label in match (an empty or nil
-// match selects every child). The bare aggregate series and dotted
-// flat-name aliases are never selected — only true `base{...}` children —
-// so summing over a selection cannot double-bill an event.
+// match selects every child). The bare aggregate series is never
+// selected — only true `base{...}` children — so summing over a
+// selection cannot double-bill an event.
 func (ts *TSStore) Select(base string, match []obs.Label) []string {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()

@@ -10,7 +10,7 @@ import (
 // A Label is one dimension of a metric series: a key (from the small
 // fixed taxonomy — node, disk, code, op, worker — see docs/METRICS.json)
 // and a value drawn from a bounded set (a disk index, a code name).
-// Labels are what turn "raid.scrub.repairs.disk.3" string-surgery into a
+// Labels are what turn string surgery on dotted names into a
 // first-class series raid.scrub.repairs{disk="3"} that the monitoring
 // plane can select, group, and attribute without parsing names.
 type Label struct {

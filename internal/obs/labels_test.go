@@ -142,11 +142,11 @@ func TestSnapshotLabeledRendering(t *testing.T) {
 	if s.Counters["raid.scrub.repairs"] != 3 {
 		t.Errorf("aggregate = %d, want 3", s.Counters["raid.scrub.repairs"])
 	}
-	// Flat-name compatibility alias (the pre-label spelling).
-	if s.Counters["raid.scrub.repairs.disk.3"] != 2 {
-		t.Errorf("flat alias missing: %v", s.Counters)
+	// No pre-label dotted spelling alongside the canonical child.
+	if _, ok := s.Counters["raid.scrub.repairs.disk.3"]; ok {
+		t.Errorf("flat alias rendered: %v", s.Counters)
 	}
-	if s.Gauges[`node.down{node="2"}`] != 1 || s.Gauges["node.down.node.2"] != 1 {
+	if s.Gauges[`node.down{node="2"}`] != 1 || s.Gauges["node.down"] != 1 {
 		t.Errorf("gauge rendering: %v", s.Gauges)
 	}
 	agg := s.Histograms["op.seconds"]
@@ -191,12 +191,13 @@ func TestWritePrometheusLabels(t *testing.T) {
 		`store_node_seconds_bucket{node="3",le="0.01"} 1` + "\n",
 		`store_node_seconds_sum{node="3"} 0.002` + "\n",
 		`store_node_seconds_count{node="3"} 1` + "\n",
-		// flat alias for dashboards scraping the dotted spelling
-		"nodestore_down_total_node_1 4\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "nodestore_down_total_node_1") {
+		t.Errorf("exposition renders the dotted flat spelling:\n%s", out)
 	}
 	// One TYPE line per metric name.
 	if n := strings.Count(out, "# TYPE nodestore_down_total counter"); n != 1 {

@@ -44,17 +44,14 @@ type SpanStats struct {
 // Snapshot captures every metric in the registry. Safe to call while
 // writers are mutating; a nil registry yields an empty snapshot.
 //
-// Labeled metrics appear three ways, all under the counter/gauge/
+// Labeled metrics appear two ways, both under the counter/gauge/
 // histogram maps keyed by canonical series name (see SeriesName):
 //
 //   - every child:        raid.scrub.repairs{disk="3"}
 //   - the family total:   raid.scrub.repairs — the sum (merge, for
 //     histograms) of the children, emitted only when no unlabeled metric
 //     already owns the bare name, so a migrated emitter keeps its old
-//     aggregate series alive for free;
-//   - a flat-name alias for single-label children:
-//     raid.scrub.repairs.disk.3 — the pre-label dotted spelling, kept so
-//     existing dashboards and committed BENCH_obs series keep resolving.
+//     aggregate series alive for free.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
@@ -112,11 +109,6 @@ func (r *Registry) Snapshot() Snapshot {
 			v := e.metric.Value()
 			total += v
 			s.Counters[SeriesName(base, e.labels)] = v
-			if alias, ok := flatAlias(base, e.labels); ok {
-				if _, taken := s.Counters[alias]; !taken {
-					s.Counters[alias] = v
-				}
-			}
 		}
 		if _, taken := s.Counters[base]; !taken {
 			s.Counters[base] = total
@@ -132,11 +124,6 @@ func (r *Registry) Snapshot() Snapshot {
 			v := e.metric.Value()
 			total += v
 			s.Gauges[SeriesName(base, e.labels)] = v
-			if alias, ok := flatAlias(base, e.labels); ok {
-				if _, taken := s.Gauges[alias]; !taken {
-					s.Gauges[alias] = v
-				}
-			}
 		}
 		if _, taken := s.Gauges[base]; !taken {
 			s.Gauges[base] = total
@@ -156,11 +143,6 @@ func (r *Registry) Snapshot() Snapshot {
 				agg = mergeHistogramSnapshots(agg, hs)
 			}
 			s.Histograms[SeriesName(base, e.labels)] = hs
-			if alias, ok := flatAlias(base, e.labels); ok {
-				if _, taken := s.Histograms[alias]; !taken {
-					s.Histograms[alias] = hs
-				}
-			}
 		}
 		if _, taken := s.Histograms[base]; !taken {
 			s.Histograms[base] = agg
@@ -233,17 +215,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "  %-40s %g\n", name, s.Gauges[name])
 		}
 	}
-}
-
-// flatAlias spells a single-label child the way the pre-label stack
-// did: base.key.value (raid.scrub.repairs{disk="3"} →
-// raid.scrub.repairs.disk.3). Multi-label children have no historical
-// flat spelling and alias nothing.
-func flatAlias(base string, labels []Label) (string, bool) {
-	if len(labels) != 1 {
-		return "", false
-	}
-	return base + "." + labels[0].Key + "." + labels[0].Value, true
 }
 
 // mergeHistogramSnapshots folds b into a (the family aggregate). The

@@ -237,7 +237,6 @@ func (a *Array) Scrub() ([]ScrubResult, error) {
 			if col != core.CleanColumn {
 				a.Stats.ScrubRepairs++
 				disk := a.diskFor(stripe, col)
-				a.count("raid.scrub_repairs", 1)
 				a.countDisk("raid.scrub.repairs", disk, 1)
 				results = append(results, ScrubResult{
 					Stripe: stripe, Disk: disk, Strip: col})

@@ -33,7 +33,7 @@ func TestMonitorObservesScrub(t *testing.T) {
 		Registry: reg,
 		Window:   64,
 		Rules: []monitor.Rule{{
-			Name: "scrub-repairs", Metric: "raid.scrub_repairs",
+			Name: "scrub-repairs", Metric: "raid.scrub.repairs",
 			Kind: monitor.RuleThreshold, Op: ">", Value: 0,
 			Window: monitor.Duration(5 * time.Second), Severity: monitor.SeverityWarning,
 		}},
@@ -58,7 +58,7 @@ func TestMonitorObservesScrub(t *testing.T) {
 		t.Fatalf("quiet tick transitioned: %+v", tr)
 	}
 
-	// Corrupt disk 2, scrub it clean: raid.scrub_repairs and the
+	// Corrupt disk 2, scrub it clean: raid.scrub.repairs and the
 	// per-disk counter move.
 	const victim = 2
 	if err := arr.CorruptDisk(victim, 0, 4, 0x5a); err != nil {

@@ -1,8 +1,7 @@
 package raidsim
 
 import (
-	"fmt"
-
+	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -12,15 +11,15 @@ import (
 // raid.rebuild, raid.scrub) carrying latency, bytes, and the element-
 // operation counts of the coding work it triggered; the array-level
 // event counters (degraded reads, small writes, scrub repairs by disk)
-// and the raid.rebuild.progress gauge update live. When the underlying
-// code is obs.Observable it is instrumented with the same registry, so
-// the per-algorithm spans (liberation.encode, rdp.decode, ...) nest
-// alongside. Pass nil to detach.
+// and the raid.rebuild.progress gauge update live. The array's own
+// reference to its code is decorated with the same registry
+// (codes.Observe), so the per-algorithm spans (liberation.encode,
+// rdp.decode, ...) nest alongside; the code value the caller passed to
+// New is left untouched, so other holders of it record nothing. Pass nil
+// to detach.
 func (a *Array) Instrument(reg *obs.Registry) {
 	a.obs = reg
-	if o, ok := a.code.(obs.Observable); ok {
-		o.Instrument(reg)
-	}
+	a.use(codes.Observe(a.bare, reg))
 }
 
 // Registry returns the metrics sink attached with Instrument (nil when
@@ -65,14 +64,7 @@ func (a *Array) count(name string, n uint64) {
 }
 
 // countDisk bumps a disk-labeled event counter: the snapshot renders
-// the child as name{disk="N"}, the family total under the bare name,
-// and the legacy dotted alias name.disk.N for old dashboards.
+// the child as name{disk="N"} and the family total under the bare name.
 func (a *Array) countDisk(name string, disk int, n uint64) {
 	a.obs.CountWith(name, n, obs.Li("disk", disk))
-}
-
-// scrubRepairCounter names the flat compatibility alias of the per-disk
-// scrub repair series (the child itself is raid.scrub.repairs{disk=N}).
-func scrubRepairCounter(disk int) string {
-	return fmt.Sprintf("raid.scrub.repairs.disk.%d", disk)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/liberation"
 	"repro/internal/obs"
 )
@@ -79,7 +80,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	check("raid.parity_elem_writes", a.Stats.ParityElemWrites)
 	check("raid.degraded_reads", a.Stats.DegradedReads)
 	check("raid.stripes_rebuilt", a.Stats.StripesRebuilt)
-	check("raid.scrub_repairs", a.Stats.ScrubRepairs)
+	check("raid.scrub.repairs", a.Stats.ScrubRepairs)
 	if a.Stats.DegradedReads == 0 || a.Stats.SmallWrites == 0 || a.Stats.ScrubRepairs == 0 {
 		t.Fatalf("workload did not exercise all paths: %+v", a.Stats)
 	}
@@ -87,12 +88,12 @@ func TestMetricsMatchStats(t *testing.T) {
 	// Per-disk scrub repair attribution: exactly the corrupted disk.
 	repairs := uint64(0)
 	for d := 0; d < a.NumDisks(); d++ {
-		repairs += snap.Counters[fmt.Sprintf("raid.scrub.repairs.disk.%d", d)]
+		repairs += snap.Counters[fmt.Sprintf(`raid.scrub.repairs{disk="%d"}`, d)]
 	}
 	if repairs != a.Stats.ScrubRepairs {
 		t.Errorf("per-disk scrub repairs sum %d, want %d", repairs, a.Stats.ScrubRepairs)
 	}
-	if snap.Counters["raid.scrub.repairs.disk.1"] == 0 {
+	if snap.Counters[`raid.scrub.repairs{disk="1"}`] == 0 {
 		t.Error("repair not attributed to corrupted disk 1")
 	}
 
@@ -206,5 +207,45 @@ func TestUninstrumentedArrayIsUnaffected(t *testing.T) {
 	snap := a.Metrics()
 	if len(snap.Spans) != 0 || len(snap.Counters) != 0 {
 		t.Errorf("uninstrumented snapshot not empty: %+v", snap)
+	}
+}
+
+// TestInstrumentLeavesSharedCodeAlone shares one code value between two
+// arrays and instruments only the first: spans must come from that
+// array's operations alone — not from the other array, not from a
+// direct caller of the code — and detaching the other array must not
+// detach the first.
+func TestInstrumentLeavesSharedCodeAlone(t *testing.T) {
+	code, err := liberation.New(4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(code, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(code, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := newTestRegistry(a)
+	buf := make([]byte, a.Capacity())
+
+	if err := b.Write(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := code.Encode(core.NewStripeFor(code, 16), nil); err != nil {
+		t.Fatal(err)
+	}
+	if spans := reg.Snapshot().Spans; len(spans) != 0 {
+		t.Fatalf("uninstrumented users of the shared code recorded spans: %v", spans)
+	}
+
+	b.Instrument(nil)
+	if err := a.Write(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Snapshot().Spans["liberation.encode"].Calls, a.Stats.StripeEncodes; got != want || want == 0 {
+		t.Errorf("liberation.encode calls = %d, want the instrumented array's %d stripe encodes", got, want)
 	}
 }

@@ -42,7 +42,8 @@ type Stats struct {
 
 // Array is a simulated disk array.
 type Array struct {
-	code      core.Code
+	bare      core.Code            // the code New was given
+	code      core.Code            // bare, or bare decorated by Instrument
 	updater   core.Updater         // non-nil when the code supports small writes
 	corrector core.ColumnCorrector // non-nil when scrubbing can localize errors
 	k, m, w   int
@@ -66,7 +67,7 @@ func New(code core.Code, elemSize, stripes int) (*Array, error) {
 		return nil, fmt.Errorf("%w: elemSize=%d stripes=%d", core.ErrParams, elemSize, stripes)
 	}
 	a := &Array{
-		code:     code,
+		bare:     code,
 		k:        code.K(),
 		m:        code.M(),
 		w:        code.W(),
@@ -74,8 +75,7 @@ func New(code core.Code, elemSize, stripes int) (*Array, error) {
 		elemSize: elemSize,
 		stripes:  stripes,
 	}
-	a.updater, _ = code.(core.Updater)
-	a.corrector, _ = code.(core.ColumnCorrector)
+	a.use(code)
 	stripBytes := a.w * elemSize
 	a.disks = make([][]byte, a.n)
 	for i := range a.disks {
@@ -83,6 +83,14 @@ func New(code core.Code, elemSize, stripes int) (*Array, error) {
 	}
 	a.failed = make([]bool, a.n)
 	return a, nil
+}
+
+// use routes the array's coding work through code and derives the
+// small-write and scrub capabilities from it.
+func (a *Array) use(code core.Code) {
+	a.code = code
+	a.updater, _ = code.(core.Updater)
+	a.corrector, _ = code.(core.ColumnCorrector)
 }
 
 // Capacity returns the usable data bytes of the array.

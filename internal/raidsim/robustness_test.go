@@ -132,11 +132,12 @@ func TestScrubRepairsCorruptionEveryLayout(t *testing.T) {
 					t.Errorf("repair %+v not localized to disk %d", r, victim)
 				}
 			}
-			if got := a.Metrics().Counters[scrubRepairCounter(victim)]; got != 2 {
-				t.Errorf("%s = %d, want 2", scrubRepairCounter(victim), got)
+			perDisk := obs.SeriesName("raid.scrub.repairs", []obs.Label{obs.Li("disk", victim)})
+			if got := a.Metrics().Counters[perDisk]; got != 2 {
+				t.Errorf("%s = %d, want 2", perDisk, got)
 			}
-			if got := a.Metrics().Counters["raid.scrub_repairs"]; got != 2 {
-				t.Errorf("raid.scrub_repairs = %d, want 2", got)
+			if got := a.Metrics().Counters["raid.scrub.repairs"]; got != 2 {
+				t.Errorf("raid.scrub.repairs = %d, want 2", got)
 			}
 
 			// The corruption must be fully healed: contents intact and a
@@ -155,7 +156,7 @@ func TestScrubRepairsCorruptionEveryLayout(t *testing.T) {
 			if len(again) != 0 {
 				t.Errorf("second scrub found %d issues, want 0", len(again))
 			}
-			if got := a.Metrics().Counters[scrubRepairCounter(victim)]; got != 2 {
+			if got := a.Metrics().Counters[perDisk]; got != 2 {
 				t.Errorf("per-disk counter moved on a clean scrub: %d, want still 2", got)
 			}
 		})

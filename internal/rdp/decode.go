@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Decode reconstructs up to two erased strips. Because RDP's diagonals
@@ -12,11 +11,6 @@ import (
 // the same two-sided zigzag over the math array; only erasures involving
 // Q need re-encoding of the diagonal parity.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rdp.decode", s.DataSize(), len(erased)*(c.p-1), ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
-}
-
-func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.p-1); err != nil {
 		return err
 	}
@@ -38,7 +32,7 @@ func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 		}
 		switch {
 		case a >= c.k: // P and Q
-			return c.encode(s, ops)
+			return c.Encode(s, ops)
 		case b == c.k: // data + P: same zigzag, with math column p-1
 			return c.decodeMathPair(s, a, c.p-1, ops)
 		case b == c.k+1: // data + Q

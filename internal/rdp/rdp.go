@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Code is an RDP code instance with k data strips over a (p-1) x (p+1)
@@ -27,8 +26,6 @@ import (
 type Code struct {
 	k int
 	p int
-
-	obs *obs.Registry // optional metrics sink (see Instrument)
 }
 
 // New returns the RDP code with k data strips and prime parameter p.
@@ -84,11 +81,6 @@ func (c *Code) mathStrip(y int) int {
 // Encode computes P (row sums over data) and then Q (diagonal sums over
 // data and P).
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rdp.encode", s.DataSize(), 2*(c.p-1), ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
-}
-
-func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.p-1); err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/xorblk"
 )
 
@@ -14,18 +13,6 @@ import (
 // diagonal parity of the P cell it just changed: ~3 parity updates on
 // average (Table I).
 func (c *Code) Update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Ops) (int, error) {
-	if c.obs == nil {
-		return c.update(s, col, row, oldElem, ops)
-	}
-	sp := obs.StartSpan(c.obs, "rdp.update")
-	var local core.Ops
-	touched, err := c.update(s, col, row, oldElem, &local)
-	ops.Add(local)
-	sp.Bytes(s.ElemSize).Units(touched).Ops(local).End(err)
-	return touched, err
-}
-
-func (c *Code) update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Ops) (int, error) {
 	if err := s.CheckShape(c.k, 2, c.p-1); err != nil {
 		return 0, err
 	}

@@ -15,14 +15,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gf"
-	"repro/internal/obs"
 )
 
 // Code is a Reed-Solomon P+Q RAID-6 instance with k data strips.
 type Code struct {
 	k int
-
-	obs *obs.Registry // optional metrics sink (see Instrument)
 }
 
 // New returns the RS P+Q code for k data strips (1 <= k <= 255).
@@ -47,11 +44,6 @@ func (c *Code) W() int { return 1 }
 // Q = ((D_{k-1} * g + D_{k-2}) * g + ...) so that the hot loop is one
 // doubling plus one XOR per data strip, as in the Linux implementation.
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rs.encode", s.DataSize(), 2, ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
-}
-
-func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, 1); err != nil {
 		return err
 	}
@@ -72,11 +64,6 @@ func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 // appropriate powers of g for the Q side, and the two-data-failure case
 // solved from the 2x2 Vandermonde system.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rs.decode", s.DataSize(), len(erased), ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
-}
-
-func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, 1); err != nil {
 		return err
 	}
@@ -99,7 +86,7 @@ func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 		}
 		switch {
 		case a >= k: // P and Q
-			return c.encode(s, ops)
+			return c.Encode(s, ops)
 		case b == k: // data + P: recover data from Q, then P
 			c.recoverViaQ(s, a, ops)
 			return c.encodeP(s, ops)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gf"
-	"repro/internal/obs"
 )
 
 // MCode is the generalized Reed-Solomon code with k data strips and m
@@ -20,8 +19,6 @@ import (
 type MCode struct {
 	k, m   int
 	parity [][]byte // m×k parity submatrix of the systematic generator
-
-	obs *obs.Registry // optional metrics sink (see Instrument)
 }
 
 // NewM returns the generalized RS code with k data strips and m parities
@@ -38,7 +35,9 @@ func NewM(k, m int) (*MCode, error) {
 	return &MCode{k: k, m: m, parity: parity}, nil
 }
 
-func (c *MCode) Name() string { return fmt.Sprintf("rs(k=%d,m=%d)", c.k, c.m) }
+// Name is "rsm(k=…,m=…)"; its span prefix rsm tells the generalized
+// code's spans apart from the P+Q code's rs.* ones.
+func (c *MCode) Name() string { return fmt.Sprintf("rsm(k=%d,m=%d)", c.k, c.m) }
 func (c *MCode) K() int       { return c.k }
 
 // M returns the parity count the code was built with.
@@ -47,24 +46,11 @@ func (c *MCode) M() int { return c.m }
 // W returns 1: RS strips are single elements.
 func (c *MCode) W() int { return 1 }
 
-// Instrument attaches a metrics registry: every Encode and Decode then
-// records an rsm.encode / rsm.decode span. A nil registry detaches.
-// (GF(2^8) multiplications are not element XORs and are not counted in
-// Ops; the XOR half of each multiply-accumulate is, as on the P+Q
-// code's Q path.)
-func (c *MCode) Instrument(reg *obs.Registry) { c.obs = reg }
-
-// Registry returns the attached metrics registry (nil when detached).
-func (c *MCode) Registry() *obs.Registry { return c.obs }
-
 // Encode computes the m parity strips: parity i is the data vector dotted
-// with row i of the parity matrix.
+// with row i of the parity matrix. (GF(2^8) multiplications are not
+// element XORs and are not counted in Ops; the XOR half of each
+// multiply-accumulate is, as on the P+Q code's Q path.)
 func (c *MCode) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rsm.encode", s.DataSize(), c.m, ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
-}
-
-func (c *MCode) encode(s *core.Stripe, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, c.m, 1); err != nil {
 		return err
 	}
@@ -93,11 +79,6 @@ func (c *MCode) encodeParity(s *core.Stripe, i int, ops *core.Ops) {
 // combinations; lost parities are then re-encoded from the full data.
 // Any k survivors suffice — the generator is MDS by construction.
 func (c *MCode) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rsm.decode", s.DataSize(), len(erased), ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
-}
-
-func (c *MCode) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, c.m, 1); err != nil {
 		return err
 	}

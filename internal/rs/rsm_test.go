@@ -2,9 +2,11 @@ package rs_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/codes"
 	"repro/internal/codetest"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -23,7 +25,7 @@ func TestMConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(c.Name(), func(t *testing.T) { codetest.Run(t, c) })
+		t.Run(fmt.Sprintf("rs(k=%d,m=%d)", sh[0], sh[1]), func(t *testing.T) { codetest.Run(t, c) })
 	}
 }
 
@@ -124,15 +126,17 @@ func TestMDecodeDuplicatesAndOverload(t *testing.T) {
 	}
 }
 
+// TestMObserved checks that the span decorator records rsm.encode and
+// rsm.decode for a triple-parity code and keeps its Updater capability.
 func TestMObserved(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := rs.NewM(3, 3)
+	bare, err := rs.NewM(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Instrument(reg)
-	if c.Registry() != reg {
-		t.Fatal("Registry() did not return the attached registry")
+	c := codes.Observe(bare, reg)
+	if _, ok := c.(core.Updater); !ok {
+		t.Fatal("decorated code lost core.Updater")
 	}
 	s := core.NewStripeFor(c, 16)
 	s.FillRandom(rand.New(rand.NewSource(3)))

@@ -37,36 +37,14 @@ type Report struct {
 	Degraded bool
 }
 
-// Decode reconstructs the original file from the shard set described by
-// the manifest at manifestPath (shards are looked up in the same
-// directory) and writes it to w. Missing or checksum-corrupt shards are
-// treated per the degradation ladder (quarantine → CorrectColumn →
-// erasure decode); up to m hard losses are tolerated (m being the
-// code's parity count), and purely silent per-stripe single-column
-// corruption is healed even beyond that. It returns the per-shard
-// status that recovery observed.
-func Decode(manifestPath string, w io.Writer) ([]ShardStatus, error) {
-	return DecodeOpts(manifestPath, w, Options{})
-}
-
-// DecodeObserved is Decode with a metrics registry attached (see
-// EncodeObserved); recovery work shows up as liberation.decode spans
-// under a shard.decode span, with the health probe as shard.probe.
-func DecodeObserved(manifestPath string, w io.Writer, reg *obs.Registry) ([]ShardStatus, error) {
-	return DecodeOpts(manifestPath, w, Options{Registry: reg})
-}
-
-// DecodeOpts is the streaming decoder behind Decode; see DecodeReport
-// for the full result.
-func DecodeOpts(manifestPath string, w io.Writer, opt Options) ([]ShardStatus, error) {
-	rep, err := DecodeReport(manifestPath, w, opt)
-	if rep == nil {
-		return nil, err
-	}
-	return rep.Status, err
-}
-
-// DecodeReport is the self-healing streaming decoder.
+// DecodeReport reconstructs the original file from the shard set
+// described by the manifest at manifestPath (shards are looked up in the
+// same directory) and writes it to w. Missing or checksum-corrupt shards
+// are treated per the degradation ladder (quarantine → CorrectColumn →
+// erasure decode); up to m hard losses are tolerated (m being the code's
+// parity count), and purely silent per-stripe single-column corruption
+// is healed even beyond that. The report carries the per-shard status
+// recovery observed.
 //
 // The up-front probe (stat + streamed CRC-32, O(1) memory) classifies
 // every shard: clean, soft-quarantined (present but checksum-corrupt),
@@ -114,22 +92,10 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 	return r.rep, err
 }
 
-// Repair reconstructs missing/corrupt shards in place (writing repaired
-// shard files back into the manifest's directory) and returns the indices
-// repaired.
-func Repair(manifestPath string) ([]int, error) {
-	return RepairOpts(manifestPath, Options{})
-}
-
-// RepairObserved is Repair with a metrics registry attached (see
-// EncodeObserved).
-func RepairObserved(manifestPath string, reg *obs.Registry) ([]int, error) {
-	return RepairOpts(manifestPath, Options{Registry: reg})
-}
-
-// RepairOpts is the streaming repairer behind Repair. It shares the
-// probe, the degradation ladder, and the bounded-memory stripe loop with
-// DecodeReport, but routes the reconstructed strips into fresh shard
+// RepairOpts reconstructs missing or corrupt shards in place, writing
+// repaired shard files back into the manifest's directory, and returns
+// the indices repaired. It shares the probe, the degradation ladder, and
+// the bounded-memory stripe loop with DecodeReport, but routes the reconstructed strips into fresh shard
 // files written next to the originals: each repaired shard streams into
 // a temporary file whose rolling CRC must reproduce the manifest
 // checksum before it is synced and renamed over the broken shard, so a

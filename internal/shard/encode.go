@@ -17,46 +17,6 @@ import (
 	"repro/internal/store"
 )
 
-// Encode splits the contents of r (size bytes) into k+m shards written
-// to outDir (m being the code's parity count, 2 for the default
-// liberation code), returning the manifest (also written to outDir).
-// p = 0 selects the smallest usable prime automatically.
-func Encode(r io.Reader, size int64, fileName string, k, p, elemSize int, outDir string) (*Manifest, error) {
-	return EncodeOpts(r, size, fileName, k, p, elemSize, outDir, Options{})
-}
-
-// EncodeObserved is Encode with a metrics registry attached to the
-// underlying code: the per-algorithm spans (liberation.encode) and a
-// shard.encode span covering the whole file land in reg. A nil registry
-// makes it identical to Encode.
-func EncodeObserved(r io.Reader, size int64, fileName string, k, p, elemSize int,
-	outDir string, reg *obs.Registry) (*Manifest, error) {
-	return EncodeOpts(r, size, fileName, k, p, elemSize, outDir, Options{Registry: reg})
-}
-
-// EncodeParallel is Encode with the stripe encoding fanned out over a
-// worker pool (workers <= 0 uses all cores): stripes are read in
-// batches, encoded concurrently (each stripe is independent), and
-// written out in order so shard files and checksums are byte-identical
-// to the sequential path.
-func EncodeParallel(r io.Reader, size int64, fileName string, k, p, elemSize int,
-	outDir string, workers int) (*Manifest, error) {
-	return EncodeParallelObserved(r, size, fileName, k, p, elemSize, outDir, workers, nil)
-}
-
-// EncodeParallelObserved is EncodeParallel with a metrics registry
-// attached to both the code (liberation.encode spans) and the worker
-// pool (pipeline.encode spans and queue-wait histograms). A nil
-// registry makes it identical to EncodeParallel.
-func EncodeParallelObserved(r io.Reader, size int64, fileName string, k, p, elemSize int,
-	outDir string, workers int, reg *obs.Registry) (*Manifest, error) {
-	if workers <= 0 {
-		workers = -1 // historical EncodeParallel semantics: 0 = all cores
-	}
-	return EncodeOpts(r, size, fileName, k, p, elemSize, outDir,
-		Options{Workers: workers, Registry: reg})
-}
-
 // encBatch is one unit of the encode pipeline: up to cap(stripes)
 // stripes owned by exactly one stage at a time.
 type encBatch struct {
@@ -64,7 +24,10 @@ type encBatch struct {
 	n       int // stripes filled
 }
 
-// EncodeOpts is the streaming encoder behind Encode and EncodeParallel.
+// EncodeOpts splits the contents of r (size bytes) into k+m shards
+// written to outDir (m being the code's parity count, 2 for the default
+// liberation code), returning the manifest (also written to outDir).
+// p = 0 selects the smallest usable prime automatically.
 //
 // Three stages run concurrently, handing batches of stripes around a
 // fixed ring: a reader goroutine fills batch N+1 from r, the coding

@@ -69,7 +69,7 @@ func TestCodeMatrixRoundTrip(t *testing.T) {
 					}
 				}
 				decodeAndCompare(t, dir, m, content)
-				if repaired, err := Repair(manifest); err != nil || len(repaired) != m.M {
+				if repaired, err := RepairOpts(manifest, Options{}); err != nil || len(repaired) != m.M {
 					t.Fatalf("Repair after %d-shard loss: %v, %v", m.M, repaired, err)
 				}
 
@@ -89,7 +89,7 @@ func TestCodeMatrixRoundTrip(t *testing.T) {
 				if status[0].Valid {
 					t.Error("corrupt shard reported valid")
 				}
-				if _, err := Repair(manifest); err != nil {
+				if _, err := RepairOpts(manifest, Options{}); err != nil {
 					t.Fatalf("Repair after corruption: %v", err)
 				}
 				if err := Verify(manifest, Options{}); err != nil {
@@ -144,8 +144,8 @@ func TestManifestV1Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	decodeAndCompare(t, dir, m, want)
-	if repaired, err := Repair(manifest); err != nil || len(repaired) != 1 {
-		t.Fatalf("Repair(v1): %v, %v", repaired, err)
+	if repaired, err := RepairOpts(manifest, Options{}); err != nil || len(repaired) != 1 {
+		t.Fatalf("RepairOpts(v1): %v, %v", repaired, err)
 	}
 	if err := Verify(manifest, Options{}); err != nil {
 		t.Fatalf("Verify(v1) after repair: %v", err)

@@ -45,8 +45,8 @@ import (
 )
 
 // newCode resolves a code by registry name (p = 0 selects the smallest
-// usable prime for the array codes) and attaches the optional metrics
-// registry to codes that support instrumentation.
+// usable prime for the array codes), decorated with per-operation spans
+// when reg is non-nil.
 func newCode(name string, k, p int, reg *obs.Registry) (core.Code, error) {
 	return codes.NewObserved(name, k, p, reg)
 }
@@ -125,7 +125,7 @@ type Options struct {
 	// Codes without the core.ColumnCorrector capability skip this rung
 	// and fall straight to erasure decode.
 	Heal bool
-	// Code selects the erasure code by registry name for Encode (empty =
+	// Code selects the erasure code by registry name for EncodeOpts (empty =
 	// codes.Default, i.e. "liberation"). Decode, repair and verify take
 	// the code from the manifest instead.
 	Code string

@@ -13,7 +13,7 @@ func encodeTestFile(t *testing.T, size int64, k, p, elem int) (dir string, conte
 	dir = t.TempDir()
 	content = make([]byte, size)
 	rand.New(rand.NewSource(size + int64(k))).Read(content)
-	m, err := Encode(bytes.NewReader(content), size, "blob.bin", k, p, elem, dir)
+	m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", k, p, elem, dir, Options{})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -23,14 +23,14 @@ func encodeTestFile(t *testing.T, size int64, k, p, elem int) (dir string, conte
 func decodeAndCompare(t *testing.T, dir string, m *Manifest, want []byte) []ShardStatus {
 	t.Helper()
 	var out bytes.Buffer
-	status, err := Decode(filepath.Join(dir, ManifestName(m.FileName)), &out)
+	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out, Options{})
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeReport: %v", err)
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("decoded %d bytes, mismatch with original %d bytes", out.Len(), len(want))
 	}
-	return status
+	return rep.Status
 }
 
 func TestRoundTripSizes(t *testing.T) {
@@ -89,7 +89,7 @@ func TestTooManyLosses(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if _, err := Decode(filepath.Join(dir, ManifestName(m.FileName)), &out); err == nil {
+	if _, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out, Options{}); err == nil {
 		t.Error("decode with 3 missing shards succeeded")
 	}
 }
@@ -107,7 +107,7 @@ func TestRepair(t *testing.T) {
 	if err := os.WriteFile(pPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := Repair(manifest)
+	repaired, err := RepairOpts(manifest, Options{})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestRepair(t *testing.T) {
 		}
 	}
 	// Repairing a healthy set is a no-op.
-	repaired, err = Repair(manifest)
+	repaired, err = RepairOpts(manifest, Options{})
 	if err != nil || repaired != nil {
 		t.Errorf("no-op repair gave %v, %v", repaired, err)
 	}
@@ -160,11 +160,11 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 	rand.New(rand.NewSource(5)).Read(content)
 	dirSeq := t.TempDir()
 	dirPar := t.TempDir()
-	mSeq, err := Encode(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirSeq)
+	mSeq, err := EncodeOpts(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirSeq, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mPar, err := EncodeParallel(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirPar, 4)
+	mPar, err := EncodeOpts(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirPar, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 	}
 	// And the parallel set decodes.
 	var out bytes.Buffer
-	if _, err := Decode(filepath.Join(dirPar, ManifestName("f.bin")), &out); err != nil {
+	if _, err := DecodeReport(filepath.Join(dirPar, ManifestName("f.bin")), &out, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), content) {

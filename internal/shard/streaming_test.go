@@ -45,13 +45,13 @@ func TestStreamingGolden(t *testing.T) {
 							}
 						}
 						var out bytes.Buffer
-						if _, err := Decode(manifest, &out); err != nil {
+						if _, err := DecodeReport(manifest, &out, Options{}); err != nil {
 							t.Fatalf("Decode erasures (%d,%d): %v", a, b, err)
 						}
 						if !bytes.Equal(out.Bytes(), content) {
 							t.Fatalf("decode erasures (%d,%d): output differs from original", a, b)
 						}
-						repaired, err := Repair(manifest)
+						repaired, err := RepairOpts(manifest, Options{})
 						if err != nil {
 							t.Fatalf("Repair erasures (%d,%d): %v", a, b, err)
 						}
@@ -84,7 +84,7 @@ func TestStreamingOptionsMatchDefaults(t *testing.T) {
 	rand.New(rand.NewSource(99)).Read(content)
 
 	baseDir := t.TempDir()
-	base, err := Encode(bytes.NewReader(content), size, "blob.bin", 4, 0, 64, baseDir)
+	base, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", 4, 0, 64, baseDir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestStreamingOptionsMatchDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		if _, err := DecodeOpts(filepath.Join(dir, ManifestName(m.FileName)), &out, opt); err != nil {
-			t.Fatalf("%s: DecodeOpts: %v", name, err)
+		if _, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out, opt); err != nil {
+			t.Fatalf("%s: DecodeReport: %v", name, err)
 		}
 		if !bytes.Equal(out.Bytes(), content) {
 			t.Fatalf("%s: decode output differs from original", name)
@@ -160,7 +160,7 @@ func TestDecodeBoundedMemory(t *testing.T) {
 	content := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(content)
 	wantCRC := crc32.ChecksumIEEE(content)
-	m, err := Encode(bytes.NewReader(content), size, "big.bin", k, 0, elem, dir)
+	m, err := EncodeOpts(bytes.NewReader(content), size, "big.bin", k, 0, elem, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDecodeBoundedMemory(t *testing.T) {
 
 	decodeOnce := func() *crcWriter {
 		w := &crcWriter{}
-		if _, err := Decode(manifest, w); err != nil {
+		if _, err := DecodeReport(manifest, w, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return w
@@ -248,7 +248,7 @@ func TestEncodeCleansUpOnError(t *testing.T) {
 func TestEncodeShortReaderFails(t *testing.T) {
 	dir := t.TempDir()
 	content := make([]byte, 1000)
-	_, err := Encode(bytes.NewReader(content), 5000, "blob.bin", 4, 0, 64, dir)
+	_, err := EncodeOpts(bytes.NewReader(content), 5000, "blob.bin", 4, 0, 64, dir, Options{})
 	if err == nil {
 		t.Fatal("Encode with short reader succeeded, want error")
 	}

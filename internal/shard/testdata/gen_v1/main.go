@@ -33,8 +33,8 @@ func main() {
 	if err := os.WriteFile(filepath.Join(dir, "blob.bin"), content, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := shard.Encode(bytes.NewReader(content), int64(len(content)),
-		"blob.bin", 3, 5, 32, dir); err != nil {
+	if _, err := shard.EncodeOpts(bytes.NewReader(content), int64(len(content)),
+		"blob.bin", 3, 5, 32, dir, shard.Options{}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -161,8 +161,8 @@ type node struct {
 // resolved once at construction, so the per-op hot path is a plain
 // atomic add. Every handle is nil (a valid no-op) when the store is
 // unregistered. The snapshot layer renders the per-node children
-// (nodestore.down.total{node="1"}), the family aggregates under the
-// pre-label flat names (nodestore.down.total), and the dotted aliases.
+// (nodestore.down.total{node="1"}) and the family aggregates under the
+// pre-label flat names (nodestore.down.total).
 type nodeMetrics struct {
 	ops          *obs.Counter   // nodestore.ops.total{node}
 	down         *obs.Counter   // nodestore.down.total{node}
