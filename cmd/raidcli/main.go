@@ -544,7 +544,9 @@ func cmdInfo(args []string) error {
 // printStats renders the -stats summary: one line per span with element
 // operations, the XORs-per-unit rate (for the encode span, XORs per
 // parity element, directly comparable to the paper's k-1 lower bound),
-// and latency percentiles. A nil registry prints nothing.
+// and latency percentiles; then one line per shard pipeline stage with
+// its busy and wait time summed over batches. A nil registry prints
+// nothing.
 func printStats(w io.Writer, reg *obs.Registry, k int) {
 	if reg == nil {
 		return
@@ -572,6 +574,23 @@ func printStats(w io.Writer, reg *obs.Registry, k int) {
 			fmt.Fprintf(w, " %.1f MB/s", st.BytesPerSec/1e6)
 		}
 		fmt.Fprintln(w)
+	}
+	// Stage histograms are shard.<op>.<stage>.seconds, each with a
+	// .wait.seconds twin; span latencies (shard.<span>.seconds) are not.
+	var stages []string
+	for n := range snap.Histograms {
+		stage := strings.TrimSuffix(n, ".seconds")
+		if _, span := snap.Spans[stage]; !span && stage != n &&
+			strings.HasPrefix(n, "shard.") && strings.Count(stage, ".") == 2 {
+			stages = append(stages, stage)
+		}
+	}
+	sort.Strings(stages)
+	for _, n := range stages {
+		busy := snap.Histograms[n+".seconds"]
+		wait := snap.Histograms[n+".wait.seconds"]
+		fmt.Fprintf(w, "%-26s busy=%s wait=%s batches=%d\n", n,
+			fmtSeconds(busy.Sum), fmtSeconds(wait.Sum), busy.Count)
 	}
 }
 

@@ -52,6 +52,10 @@ func TestStatsFlag(t *testing.T) {
 		"(lower bound k-1 = 3)",
 		"shard.encode",
 		"p50=",
+		"shard.encode.read ",
+		"shard.encode.encode ",
+		"shard.encode.write ",
+		"batches=",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("encode -stats output missing %q:\n%s", want, out)
@@ -76,7 +80,8 @@ func TestStatsFlag(t *testing.T) {
 	out = capture(t, func() error {
 		return run("decode", []string{"-out", recovered, "-stats", manifest})
 	})
-	for _, want := range []string{"--- stats ---", "liberation.decode", "shard.decode"} {
+	for _, want := range []string{"--- stats ---", "liberation.decode", "shard.decode",
+		"shard.decode.read ", "shard.decode.code ", "shard.decode.write ", "wait="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("decode -stats output missing %q:\n%s", want, out)
 		}
@@ -92,7 +97,8 @@ func TestStatsFlag(t *testing.T) {
 	out = capture(t, func() error {
 		return run("repair", []string{"-stats", manifest})
 	})
-	for _, want := range []string{"repaired shards [1]", "liberation.decode", "shard.repair"} {
+	for _, want := range []string{"repaired shards [1]", "liberation.decode", "shard.repair",
+		"shard.repair.read ", "shard.repair.code ", "shard.repair.write "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("repair -stats output missing %q:\n%s", want, out)
 		}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -31,9 +32,9 @@ func TestContextCancellation(t *testing.T) {
 	// Cancel after the first few stripes encode: the fn itself trips
 	// the cancellation, so workers observe a dead context mid-queue.
 	cctx, cancel := context.WithCancel(ctx)
-	done := 0
+	var done atomic.Int32 // both workers count
 	wrapped := func(s *core.Stripe, o *core.Ops) error {
-		if done++; done >= 3 {
+		if done.Add(1) >= 3 {
 			cancel()
 		}
 		return code.Encode(s, o)

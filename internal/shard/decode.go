@@ -10,6 +10,8 @@ import (
 	"log/slog"
 	"path/filepath"
 	"sort"
+	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -62,8 +64,13 @@ type Report struct {
 // exponential backoff (Options.Retry), and rolling CRCs re-verify every
 // column end to end — a shard that fails mid-stream is quarantined and
 // the decode restarts without it (when w is rewindable, i.e. an
-// *os.File). Peak memory is O(BatchStripes × stripe) regardless of file
-// size.
+// *os.File).
+//
+// Reading, coding and writing overlap: shard reads, the CRC and decode
+// (or correction) work, and the writes to w run as three stages around
+// a ring of three batches, as in EncodeOpts. All shard I/O stays on one
+// goroutine in a fixed order, so seeded fault schedules replay exactly.
+// Peak memory is 3 × BatchStripes × stripe regardless of file size.
 func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.decode",
@@ -95,11 +102,13 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 // RepairOpts reconstructs missing or corrupt shards in place, writing
 // repaired shard files back into the manifest's directory, and returns
 // the indices repaired. It shares the probe, the degradation ladder, and
-// the bounded-memory stripe loop with DecodeReport, but routes the reconstructed strips into fresh shard
-// files written next to the originals: each repaired shard streams into
-// a temporary file whose rolling CRC must reproduce the manifest
-// checksum before it is synced and renamed over the broken shard, so a
-// failed repair never clobbers anything.
+// the bounded-memory batch ring with DecodeReport, but routes the
+// reconstructed strips into fresh shard files written next to the
+// originals: each repaired shard streams into a temporary file (written
+// by the ring's I/O stage, in a fixed slot after each read) whose
+// rolling CRC must reproduce the manifest checksum before it is synced
+// and renamed over the broken shard, so a failed repair never clobbers
+// anything.
 func RepairOpts(manifestPath string, opt Options) (_ []int, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.repair",
@@ -294,60 +303,54 @@ func (r *recovery) attempt(ctx context.Context, files []store.File, status []Sha
 // re-verifying every column (streamed and reconstructed) against the
 // manifest at the end.
 func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased []int, sink recoverSink) error {
-	if err := sink.begin(erased); err != nil {
-		return err
-	}
 	m := r.m
 	skip := make(map[int]bool, len(erased))
 	for _, e := range erased {
 		skip[e] = true
 	}
-	readers := newShardReaders(m, files, skip)
-	rolling := make([]uint32, m.NumShards())
-	stripes := streamBatch(r.opt, m, r.code)
-	defer releaseStripes(stripes)
-
-	for done := 0; done < m.Stripes; {
-		n := len(stripes)
-		if rem := m.Stripes - done; n > rem {
-			n = rem
+	streamed := make([]int, 0, m.NumShards())
+	for i := 0; i < m.NumShards(); i++ {
+		if !skip[i] {
+			streamed = append(streamed, i)
 		}
-		if col, err := fillBatch(readers, stripes[:n], rolling); err != nil {
-			return &quarantineError{col: col, cause: err}
-		}
-		if len(erased) > 0 {
-			if err := decodeBatch(ctx, r.code, stripes[:n], erased, r.opt); err != nil {
-				return err
+	}
+	g := rung{
+		sumRead:  true,
+		sumCoded: erased,
+		step: func(stripes []*core.Stripe, _ int) error {
+			if len(erased) == 0 {
+				return nil
 			}
-			for j := 0; j < n; j++ {
-				for _, e := range erased {
-					rolling[e] = crc32.Update(rolling[e], crc32.IEEETable, stripes[j].Strips[e])
+			return decodeBatch(ctx, r.code, stripes, erased, r.opt)
+		},
+		verify: func(rolling []uint32) error {
+			// Streamed columns first: a mismatch there means the shard
+			// changed (or lied) while streaming and is grounds for
+			// quarantine + restart.
+			for _, i := range streamed {
+				if rolling[i] != m.Checksums[i] {
+					return &quarantineError{col: i, cause: fmt.Errorf(
+						"shard %d (%s) changed while streaming: checksum %08x, manifest %08x",
+						i, m.ShardName(i), rolling[i], m.Checksums[i])}
 				}
 			}
-		}
-		if err := sink.consume(stripes[:n]); err != nil {
-			return err
-		}
-		done += n
+			// Reconstructed columns second: with all inputs verified, a
+			// mismatch here cannot be pinned on any shard.
+			for _, e := range erased {
+				if rolling[e] != m.Checksums[e] {
+					return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
+						"reconstructed shard %d fails its manifest checksum", e)}
+				}
+			}
+			return nil
+		},
 	}
-	// Streamed columns first: a mismatch there means the shard changed
-	// (or lied) while streaming and is grounds for quarantine + restart.
-	for i, sum := range rolling {
-		if !skip[i] && sum != m.Checksums[i] {
-			return &quarantineError{col: i, cause: fmt.Errorf(
-				"shard %d (%s) changed while streaming: checksum %08x, manifest %08x",
-				i, m.ShardName(i), sum, m.Checksums[i])}
-		}
+	if len(erased) == 0 {
+		// Nothing to reconstruct: rather than idle, the code stage
+		// checksums the streamed columns and the I/O stage only reads.
+		g.sumRead, g.sumCoded = false, streamed
 	}
-	// Reconstructed columns second: with all inputs verified, a mismatch
-	// here cannot be pinned on any shard.
-	for _, e := range erased {
-		if rolling[e] != m.Checksums[e] {
-			return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
-				"reconstructed shard %d fails its manifest checksum", e)}
-		}
-	}
-	return sink.finish()
+	return r.stream(newShardReaders(m, files, skip), erased, g, sink)
 }
 
 // correctionStream is the silent-corruption rung: all k+m columns stream
@@ -357,80 +360,308 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 // decoding the quarantined columns; rolling CRCs of the corrected
 // columns must reproduce the manifest checksums at the end.
 func (r *recovery) correctionStream(ctx context.Context, files []store.File, soft []int, sink recoverSink) error {
-	if err := sink.begin(soft); err != nil {
+	m := r.m
+	all := make([]int, m.NumShards())
+	for i := range all {
+		all[i] = i
+	}
+	return r.stream(newShardReaders(m, files, nil), soft, rung{
+		sumCoded: all,
+		step: func(stripes []*core.Stripe, first int) error {
+			for j, s := range stripes {
+				if err := r.correct(ctx, s, first+j, soft); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		verify: func(rolling []uint32) error {
+			// Post-correction columns must reproduce the manifest
+			// exactly; a mismatch means the column misbehaved in a way
+			// correction could not pin down — quarantine it and retry on
+			// the erasure rung.
+			for i, sum := range rolling {
+				if sum != m.Checksums[i] {
+					return &quarantineError{col: i, cause: fmt.Errorf(
+						"shard %d (%s) still corrupt after correction: checksum %08x, manifest %08x",
+						i, m.ShardName(i), sum, m.Checksums[i])}
+				}
+			}
+			return nil
+		},
+	}, sink)
+}
+
+// correct checks and heals stripe number idx with the paper's single-
+// column error correction, erasure-decoding the suspect columns when
+// the corruption is not confined to one column.
+func (r *recovery) correct(ctx context.Context, s *core.Stripe, idx int, soft []int) error {
+	var cops core.Ops
+	col, cerr := r.corrector.CorrectColumn(s, &cops)
+	r.reg.Count("shard.correct_column.xors", cops.XORs)
+	switch {
+	case cerr == nil && col != core.CleanColumn:
+		r.rep.Corrections++
+		r.reg.Count("shard.correct_column.total", 1)
+		obs.Emit(ctx, slog.LevelInfo, "shard.correct_column",
+			slog.Int("stripe", idx), slog.Int("col", col))
+	case cerr != nil:
+		r.reg.Count("shard.correct_column.failed", 1)
+		obs.EmitErr(ctx, slog.LevelWarn, "shard.correct_column.fallback", cerr,
+			slog.Int("stripe", idx), slog.Int("suspects", len(soft)))
+		switch {
+		case len(soft) >= 1 && len(soft) <= r.m.M:
+			// Not single-column, but we know which columns are suspect:
+			// erasure-decode them for this stripe.
+			return r.code.Decode(s, soft, nil)
+		case len(soft) == 0:
+			// Healing scan with no suspects: leave the stripe as read
+			// and let the end-of-stream rolling CRCs quarantine
+			// whichever column misbehaved.
+		default:
+			return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
+				"stripe %d: corruption spans multiple columns and %d shards are quarantined",
+				idx, len(soft))}
+		}
+	}
+	return nil
+}
+
+// rung is one ladder rung's share of the stream: where the rolling
+// CRCs are taken, the per-batch code step, and the end-of-stream
+// verdict on the CRCs.
+type rung struct {
+	// sumRead makes the I/O stage checksum every streamed column as it
+	// reads it; sumCoded lists the columns the code stage checksums
+	// after the step.
+	sumRead  bool
+	sumCoded []int
+	// step decodes or corrects the stripes of one batch in place; first
+	// is the stream index of stripes[0].
+	step   func(stripes []*core.Stripe, first int) error
+	verify func(rolling []uint32) error
+}
+
+// ringDepth is the number of batches in the recovery ring, as in
+// EncodeOpts: at steady state the I/O, code and output stages each own
+// one.
+const ringDepth = 3
+
+// recBatch is one unit of the recovery ring: n stripes starting at
+// stream stripe first, owned by one stage at a time.
+type recBatch struct {
+	stripes  []*core.Stripe
+	n, first int
+	// err is the batch's code or output failure; the stages behind it
+	// skip every later batch.
+	err error
+}
+
+// stream runs one attempt's streaming pass through the recovery ring.
+// Three stages hand batches of stripes around a fixed ring:
+//
+//   - the I/O stage (this goroutine) reads each batch's strips through
+//     the per-shard buffered readers, checksumming them if the rung
+//     says so, and — for a sink whose output goes to the store
+//     (repair) — hands batch N to the sink just before reading batch
+//     N+ringDepth;
+//   - the code stage runs the rung's step (in-line, or over a worker
+//     pool when Options.Workers > 1) and updates the rolling CRCs of
+//     the columns the step leaves behind;
+//   - the output stage hands the data strips to the caller's writer
+//     (decode).
+//
+// Every store call of the attempt is issued by the I/O stage in a fixed
+// program order — batch N is read only once batch N-ringDepth has left
+// the ring, whatever the other stages' timing — so seeded fault
+// schedules stay a function of the operation sequence. Batches leave
+// the ring in stream order and each stage stops working after a failed
+// batch, so the attempt fails with the error of the earliest failing
+// batch, as a serial loop would.
+func (r *recovery) stream(readers []*bufio.Reader, targets []int, g rung, sink recoverSink) error {
+	if err := sink.begin(targets); err != nil {
 		return err
 	}
 	m := r.m
-	readers := newShardReaders(m, files, nil)
 	rolling := make([]uint32, m.NumShards())
-	stripes := streamBatch(r.opt, m, r.code)
-	defer releaseStripes(stripes)
+	clk := ringClock{reg: r.reg, repair: sink.storeOutput()}
 
-	for done := 0; done < m.Stripes; {
-		n := len(stripes)
-		if rem := m.Stripes - done; n > rem {
-			n = rem
+	n := max(1, min(r.opt.batch(), m.Stripes))
+	pool := core.SharedStripePool(m.K, m.M, r.code.W(), m.ElemSize)
+	ring := make([]*recBatch, ringDepth)
+	for i := range ring {
+		ring[i] = &recBatch{stripes: make([]*core.Stripe, n)}
+		for j := range ring[i].stripes {
+			ring[i].stripes[j] = pool.Get()
 		}
-		if col, err := fillBatch(readers, stripes[:n], nil); err != nil {
-			return &quarantineError{col: col, cause: err}
-		}
-		for j := 0; j < n; j++ {
-			var cops core.Ops
-			col, cerr := r.corrector.CorrectColumn(stripes[j], &cops)
-			r.reg.Count("shard.correct_column.xors", cops.XORs)
-			switch {
-			case cerr == nil && col != core.CleanColumn:
-				r.rep.Corrections++
-				r.reg.Count("shard.correct_column.total", 1)
-				obs.Emit(ctx, slog.LevelInfo, "shard.correct_column",
-					slog.Int("stripe", done+j), slog.Int("col", col))
-			case cerr != nil:
-				r.reg.Count("shard.correct_column.failed", 1)
-				obs.EmitErr(ctx, slog.LevelWarn, "shard.correct_column.fallback", cerr,
-					slog.Int("stripe", done+j), slog.Int("suspects", len(soft)))
-				switch {
-				case len(soft) >= 1 && len(soft) <= r.m.M:
-					// Not single-column, but we know which columns are
-					// suspect: erasure-decode them for this stripe.
-					if derr := r.code.Decode(stripes[j], soft, nil); derr != nil {
-						return derr
-					}
-				case len(soft) == 0:
-					// Healing scan with no suspects: leave the stripe
-					// as read and let the end-of-stream rolling CRCs
-					// quarantine whichever column misbehaved.
-				default:
-					return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
-						"stripe %d: corruption spans multiple columns and %d shards are quarantined",
-						done+j, len(soft))}
-				}
-			}
-			for i := 0; i < m.NumShards(); i++ {
-				rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, stripes[j].Strips[i])
-			}
-		}
-		if err := sink.consume(stripes[:n]); err != nil {
-			return err
-		}
-		done += n
 	}
-	// Post-correction columns must reproduce the manifest exactly; a
-	// mismatch means the column misbehaved in a way correction could not
-	// pin down — quarantine it and retry on the erasure rung.
-	for i, sum := range rolling {
-		if sum != m.Checksums[i] {
-			return &quarantineError{col: i, cause: fmt.Errorf(
-				"shard %d (%s) still corrupt after correction: checksum %08x, manifest %08x",
-				i, m.ShardName(i), sum, m.Checksums[i])}
+	defer func() {
+		for _, b := range ring {
+			for _, s := range b.stripes {
+				pool.Put(s)
+			}
 		}
+	}()
+
+	// Channels hold the whole ring, so no send ever blocks.
+	filled := make(chan *recBatch, ringDepth)
+	coded := make(chan *recBatch, ringDepth)
+	back := coded // batches returning to the I/O stage
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		runStage(filled, coded, clk, "code.seconds", "code.wait.seconds", func(b *recBatch) error {
+			stripes := b.stripes[:b.n]
+			if err := g.step(stripes, b.first); err != nil {
+				return err
+			}
+			updateCRCs(rolling, stripes, g.sumCoded)
+			return nil
+		})
+	}()
+	if !sink.storeOutput() {
+		back = make(chan *recBatch, ringDepth)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runStage(coded, back, clk, "write.seconds", "write.wait.seconds", func(b *recBatch) error {
+				return sink.consume(b.stripes[:b.n])
+			})
+		}()
+	}
+
+	var readSums []uint32 // the I/O stage's share of rolling, if any
+	if g.sumRead {
+		readSums = rolling
+	}
+
+	// I/O stage. err is the earliest batch failure seen; a read failure
+	// comes after every batch still in flight, so theirs take precedence.
+	var err, readErr error
+	inFlight := 0
+	settle := func() {
+		t0 := clk.now()
+		b := <-back
+		if sink.storeOutput() {
+			clk.observeStage("write.wait.seconds", t0) // waiting to write b
+		} else {
+			clk.observeStage("read.wait.seconds", t0) // waiting for a batch to fill
+		}
+		inFlight--
+		if err != nil {
+			return
+		}
+		if b.err == nil && sink.storeOutput() {
+			t1 := clk.now()
+			b.err = sink.consume(b.stripes[:b.n])
+			clk.observeStage("write.seconds", t1)
+		}
+		err = b.err
+	}
+	for i, next := 0, 0; next < m.Stripes; i++ {
+		b := ring[i%ringDepth]
+		if i >= ringDepth {
+			settle() // b is the batch leaving the ring
+			if err != nil {
+				break
+			}
+		}
+		b.n, b.first, b.err = min(len(b.stripes), m.Stripes-next), next, nil
+		t0 := clk.now()
+		if col, rerr := fillBatch(readers, b.stripes[:b.n], readSums); rerr != nil {
+			readErr = &quarantineError{col: col, cause: rerr}
+			break
+		}
+		clk.observeStage("read.seconds", t0)
+		filled <- b
+		inFlight++
+		next += b.n
+	}
+	close(filled)
+	for inFlight > 0 {
+		settle()
+	}
+	wg.Wait()
+	if err == nil {
+		err = readErr
+	}
+	if err != nil {
+		return err
+	}
+	if err := g.verify(rolling); err != nil {
+		return err
 	}
 	return sink.finish()
 }
 
+// runStage is a ring stage behind the I/O stage: it applies work to
+// each batch from in, in stream order, and passes the batch on; after a
+// failed batch it only forwards. It closes out once in is closed.
+func runStage(in <-chan *recBatch, out chan<- *recBatch, clk ringClock,
+	busy, wait string, work func(*recBatch) error) {
+	defer close(out)
+	failed := false
+	for {
+		t0 := clk.now()
+		b, ok := <-in
+		if !ok {
+			return
+		}
+		clk.observeStage(wait, t0)
+		if failed = failed || b.err != nil; !failed {
+			t1 := clk.now()
+			b.err = work(b)
+			failed = b.err != nil
+			clk.observeStage(busy, t1)
+		}
+		out <- b
+	}
+}
+
+// updateCRCs folds the given columns of each stripe into the rolling
+// CRCs, in stream order.
+func updateCRCs(rolling []uint32, stripes []*core.Stripe, cols []int) {
+	for _, s := range stripes {
+		for _, i := range cols {
+			rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, s.Strips[i])
+		}
+	}
+}
+
+// ringClock times the recovery ring's stages into the
+// shard.<op>.<stage> histograms (op = decode or repair). With a nil
+// registry it takes no clock reads.
+type ringClock struct {
+	reg    *obs.Registry
+	repair bool
+}
+
+func (c ringClock) now() time.Time {
+	if c.reg == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeStage records the time since t0 under the stage's histogram.
+func (c ringClock) observeStage(stage string, t0 time.Time) {
+	if c.reg == nil {
+		return
+	}
+	d := time.Since(t0)
+	if c.repair {
+		observeWait(c.reg, "shard.repair."+stage, d)
+		return
+	}
+	observeWait(c.reg, "shard.decode."+stage, d)
+}
+
 // recoverSink receives the recovered stripes of one attempt. begin is
 // called at the start of every attempt (a restart must rewind), consume
-// after each batch is decoded/corrected, finish on success, and abort
-// exactly once when the recovery ends (success or not).
+// after each batch is decoded/corrected, in stream order, finish on
+// success (only after the stream verified every target's checksum), and
+// abort exactly once when the recovery ends (success or not).
 type recoverSink interface {
 	begin(targets []int) error
 	consume(stripes []*core.Stripe) error
@@ -438,6 +669,9 @@ type recoverSink interface {
 	abort()
 	// canRestart reports whether a later begin can undo consumed output.
 	canRestart() bool
+	// storeOutput reports whether consume issues store calls, and so
+	// must run on the stream's I/O stage.
+	storeOutput() bool
 }
 
 // decodeSink streams the data strips to the caller's writer, truncating
@@ -507,9 +741,13 @@ func (s *decodeSink) canRestart() bool {
 	return ok
 }
 
+func (s *decodeSink) storeOutput() bool { return false }
+
 // repairSink streams each target column into a temporary file; finish
-// verifies, syncs, and renames them over the broken shards, so a failed
-// repair never clobbers anything. Restarts recreate the temp files.
+// syncs and renames them over the broken shards. The stream calls
+// finish only once every target's rolling CRC matched the manifest, so
+// a failed repair never clobbers anything. Restarts recreate the temp
+// files.
 type repairSink struct {
 	m   *Manifest
 	st  store.Store
@@ -518,7 +756,6 @@ type repairSink struct {
 	targets  []int
 	files    map[int]store.File
 	writers  map[int]*bufio.Writer
-	rolling  map[int]uint32
 	repaired []int
 }
 
@@ -531,7 +768,6 @@ func (s *repairSink) begin(targets []int) error {
 	s.targets = append([]int(nil), targets...)
 	s.files = make(map[int]store.File, len(targets))
 	s.writers = make(map[int]*bufio.Writer, len(targets))
-	s.rolling = make(map[int]uint32, len(targets))
 	for _, e := range targets {
 		f, err := s.st.Create(s.tmpPath(e))
 		if err != nil {
@@ -546,22 +782,15 @@ func (s *repairSink) begin(targets []int) error {
 func (s *repairSink) consume(stripes []*core.Stripe) error {
 	for _, stripe := range stripes {
 		for _, e := range s.targets {
-			strip := stripe.Strips[e]
-			if _, err := s.writers[e].Write(strip); err != nil {
+			if _, err := s.writers[e].Write(stripe.Strips[e]); err != nil {
 				return err
 			}
-			s.rolling[e] = crc32.Update(s.rolling[e], crc32.IEEETable, strip)
 		}
 	}
 	return nil
 }
 
 func (s *repairSink) finish() error {
-	for _, e := range s.targets {
-		if s.rolling[e] != s.m.Checksums[e] {
-			return fmt.Errorf("shard: repaired shard %d fails its checksum", e)
-		}
-	}
 	for _, e := range s.targets {
 		if err := s.writers[e].Flush(); err != nil {
 			return err
@@ -588,6 +817,8 @@ func (s *repairSink) abort() { s.cleanup() }
 
 func (s *repairSink) canRestart() bool { return true }
 
+func (s *repairSink) storeOutput() bool { return true }
+
 // cleanup closes and removes any temp files of an unfinished attempt.
 func (s *repairSink) cleanup() {
 	for e, f := range s.files {
@@ -596,35 +827,8 @@ func (s *repairSink) cleanup() {
 		}
 		s.st.Remove(s.tmpPath(e))
 	}
-	s.files, s.writers, s.rolling = nil, nil, nil
+	s.files, s.writers = nil, nil
 	s.targets = nil
-}
-
-// streamBatch sizes the batch for one streaming call and takes its
-// stripes from the shared pool.
-func streamBatch(opt Options, m *Manifest, code interface{ W() int }) []*core.Stripe {
-	n := opt.batch()
-	if n > m.Stripes {
-		n = m.Stripes
-	}
-	if n < 1 {
-		n = 1
-	}
-	pool := core.SharedStripePool(m.K, m.M, code.W(), m.ElemSize)
-	stripes := make([]*core.Stripe, n)
-	for i := range stripes {
-		stripes[i] = pool.Get()
-	}
-	return stripes
-}
-
-// releaseStripes hands a streaming batch back to the shared pool.
-func releaseStripes(stripes []*core.Stripe) {
-	for _, s := range stripes {
-		if s != nil {
-			core.SharedStripePool(s.K, s.M(), s.W, s.ElemSize).Put(s)
-		}
-	}
 }
 
 // newShardReaders wraps the streaming shard files in buffered readers;

@@ -8,11 +8,15 @@
 // The data path is streaming in both directions. Encoding overlaps
 // read → encode → write through a double-buffered batch pipeline (a
 // reader goroutine fills batch N+1 while the worker pool encodes batch N
-// and a writer goroutine drains batch N-1), and decoding/repair read all
-// k+m shards stripe-by-stripe through per-shard file readers. Peak
-// memory is O(batch × stripe) regardless of file size; shard health is
-// decided up front by a cheap stat+checksum probe and re-verified
-// incrementally by rolling CRCs while the stripes stream through.
+// and a writer goroutine drains batch N-1). Decoding and repair run the
+// same kind of three-batch ring: one goroutine reads the surviving
+// shards stripe-by-stripe through per-shard file readers (and writes
+// repaired shards) in a fixed order, a coding stage checksums and
+// decodes or corrects batch N-1, and an output stage hands batch N-2 to
+// the caller. Peak memory is O(3 × batch × stripe) regardless of file
+// size; shard health is decided up front by a cheap stat+checksum probe
+// and re-verified incrementally by rolling CRCs while the stripes
+// stream through.
 //
 // Every byte of I/O goes through a store.Store (see Options.Store), so
 // the path is testable under injected faults, and it is self-healing:
@@ -46,10 +50,9 @@ import (
 
 // newCode resolves a code by registry name (p = 0 selects the smallest
 // usable prime for the array codes), decorated with per-operation spans
-// when reg is non-nil.
-func newCode(name string, k, p int, reg *obs.Registry) (core.Code, error) {
-	return codes.NewObserved(name, k, p, reg)
-}
+// when reg is non-nil. It is a variable so tests can substitute a
+// faulty code.
+var newCode = codes.NewObserved
 
 // manifestCode constructs the code a manifest was encoded with and
 // cross-checks the manifest's recorded strip width against it, so a
@@ -93,7 +96,9 @@ type Options struct {
 	// batch out over a pipeline worker pool, and <0 uses all cores.
 	Workers int
 	// BatchStripes is the number of stripes per pipeline batch
-	// (0 = DefaultBatchStripes). Peak memory scales with it.
+	// (0 = DefaultBatchStripes). Encode, decode and repair each keep a
+	// ring of three batches, so peak memory is about
+	// 3 × BatchStripes × stripe.
 	BatchStripes int
 	// Registry, when non-nil, receives shard.* spans, the pipeline
 	// stage-wait histograms, and the queue-depth gauge, and is attached
