@@ -53,7 +53,7 @@ func TestStatsFlag(t *testing.T) {
 		"shard.encode",
 		"p50=",
 		"shard.encode.read ",
-		"shard.encode.encode ",
+		"shard.encode.code ",
 		"shard.encode.write ",
 		"batches=",
 	} {

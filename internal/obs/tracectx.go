@@ -6,17 +6,15 @@ import (
 	"log/slog"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
-// This file is the causal half of the observability layer. The metrics
-// Span answers "how much, how fast" in aggregate; the types here answer
-// "why did THIS operation do what it did": every recovery decision —
-// each retry, quarantine, CorrectColumn heal, erasure fallback — becomes
-// a child span or event of one request-scoped trace, carried through the
-// stack via context.Context and fanned out to pluggable sinks (the JSON
-// event log and the flight recorder).
+// This file is the causal half of the observability layer. A span's
+// metric families answer "how much, how fast" in aggregate; the types
+// here answer "why did THIS operation do what it did": every recovery
+// decision — each retry, quarantine, CorrectColumn heal, erasure
+// fallback — becomes a child span or event of one request-scoped trace,
+// carried through the stack via context.Context and fanned out to
+// pluggable sinks (the JSON event log and the flight recorder).
 
 // A TraceID identifies one causally-related operation tree (one decode,
 // one repair, one fault episode). Zero means "no trace".
@@ -132,23 +130,6 @@ type traceState struct {
 // ctxKey carries the current *SpanCtx through a context.Context.
 type ctxKey struct{}
 
-// A SpanCtx is one node of a trace: it wraps a metrics Span (so ending
-// it records the usual <name>.seconds/.calls/.xors families) and, when
-// a trace is active, emits a completion Event carrying the span's
-// typed attributes to the tracer's sinks. The zero-valued/inert form
-// (no trace, no registry) makes every method a no-op, so call sites
-// never guard. A SpanCtx is owned by one goroutine; use Emit from
-// workers instead of sharing one.
-type SpanCtx struct {
-	ts     *traceState
-	metric *Span
-	id     SpanID
-	parent SpanID
-	name   string
-	start  time.Time
-	attrs  []Attr
-}
-
 // StartOp begins a span named name as a child of ctx's current span.
 // When ctx carries no trace, a new trace is started on tr — or, if tr
 // is nil too, the span is causally inert but still records metrics
@@ -167,14 +148,9 @@ func StartOp(ctx context.Context, tr *Tracer, reg *Registry, name string, attrs 
 	} else if tr != nil {
 		ts = tr.newTrace()
 	}
-	s := &SpanCtx{
-		ts:     ts,
-		metric: StartSpan(reg, name),
-		parent: parentID,
-		name:   name,
-		attrs:  attrs,
-	}
+	s := StartSpan(reg, name)
 	if ts != nil {
+		s.ts, s.parent, s.attrs = ts, parentID, attrs
 		s.id = SpanID(ts.next.Add(1))
 		s.start = time.Now()
 	}
@@ -185,77 +161,6 @@ func StartOp(ctx context.Context, tr *Tracer, reg *Registry, name string, attrs 
 // span when ctx has a trace, an inert metrics-only span otherwise.
 func StartSpanCtx(ctx context.Context, reg *Registry, name string, attrs ...Attr) (context.Context, *SpanCtx) {
 	return StartOp(ctx, nil, reg, name, attrs...)
-}
-
-// TraceID returns the span's trace ID (zero when inert).
-func (s *SpanCtx) TraceID() TraceID {
-	if s == nil || s.ts == nil {
-		return 0
-	}
-	return s.ts.id
-}
-
-// Attr appends typed attributes to the span; they are carried on its
-// completion event.
-func (s *SpanCtx) Attr(attrs ...Attr) *SpanCtx {
-	if s != nil && s.ts != nil {
-		s.attrs = append(s.attrs, attrs...)
-	}
-	return s
-}
-
-// Bytes sets the metric span's processed-byte count.
-func (s *SpanCtx) Bytes(n int) *SpanCtx {
-	if s != nil {
-		s.metric.Bytes(n)
-	}
-	return s
-}
-
-// Units sets the metric span's work-unit count.
-func (s *SpanCtx) Units(n int) *SpanCtx {
-	if s != nil {
-		s.metric.Units(n)
-	}
-	return s
-}
-
-// Ops accumulates element-operation counts into the metric span.
-func (s *SpanCtx) Ops(o core.Ops) *SpanCtx {
-	if s != nil {
-		s.metric.Ops(o)
-	}
-	return s
-}
-
-// End finishes the span: the metric span records its families, and, if
-// a trace is active, the completion event (name, duration, attributes,
-// error) reaches every sink. Errors raise the event to slog.LevelError.
-func (s *SpanCtx) End(err error) time.Duration {
-	if s == nil {
-		return 0
-	}
-	d := s.metric.End(err)
-	if s.ts == nil {
-		return d
-	}
-	dur := time.Since(s.start)
-	ev := Event{
-		Time:   time.Now(),
-		Trace:  s.ts.id.String(),
-		Span:   s.id.String(),
-		Parent: s.parent.String(),
-		Name:   s.name,
-		Level:  slog.LevelInfo,
-		Dur:    dur,
-		Attrs:  attrMap(s.attrs),
-	}
-	if err != nil {
-		ev.Level = slog.LevelError
-		ev.Err = err.Error()
-	}
-	s.ts.tracer.record(ev)
-	return dur
 }
 
 // Emit records a point event as a child of ctx's current span: it gets

@@ -177,47 +177,6 @@ func runPool(name string, n int, cfg Config, ops *core.Ops,
 		return rep, nil
 	}
 
-	if n == 1 {
-		var stop atomic.Bool
-		work := make(chan *core.Stripe)
-		go func() {
-			feed(work, &stop)
-			close(work)
-		}()
-		var err error
-		for {
-			t0 := time.Now()
-			s, ok := <-work
-			if !ok {
-				rep.ShutdownWait += time.Since(t0)
-				if ctx.Err() != nil {
-					cancelled(0, rep.Stripes)
-				}
-				break
-			}
-			rep.QueueWait += time.Since(t0)
-			if ctx.Err() != nil {
-				stop.Store(true)
-				cancelled(0, rep.Stripes)
-				for range work { // drain so feed never blocks
-				}
-				break
-			}
-			if err = fn(s, &total); err != nil {
-				stop.Store(true)
-				obs.EmitErr(ctx, slog.LevelError, "pipeline.worker.error", err,
-					slog.Int("worker", 0), slog.Int("stripes_done", rep.Stripes))
-				for range work { // drain so feed never blocks
-				}
-				break
-			}
-			bytes += s.DataSize()
-			rep.Stripes++
-			rep.PerWorker[0]++
-		}
-		return finish(err)
-	}
-
 	var stop atomic.Bool
 	work := make(chan *core.Stripe)
 	errCh := make(chan error, n)

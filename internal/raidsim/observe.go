@@ -41,7 +41,7 @@ func (a *Array) span(name string) *arraySpan {
 }
 
 type arraySpan struct {
-	sp     *obs.Span
+	sp     *obs.SpanCtx
 	before core.Ops
 }
 

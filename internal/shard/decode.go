@@ -10,8 +10,6 @@ import (
 	"log/slog"
 	"path/filepath"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -68,9 +66,11 @@ type Report struct {
 //
 // Reading, coding and writing overlap: shard reads, the CRC and decode
 // (or correction) work, and the writes to w run as three stages around
-// a ring of three batches, as in EncodeOpts. All shard I/O stays on one
+// the batch ring EncodeOpts uses too. All shard I/O stays on one
 // goroutine in a fixed order, so seeded fault schedules replay exactly.
-// Peak memory is 3 × BatchStripes × stripe regardless of file size.
+// A cancelled Options.Context stops the stream before the next batch is
+// read. Peak memory is 3 × BatchStripes × stripe regardless of file
+// size.
 func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.decode",
@@ -442,150 +442,53 @@ type rung struct {
 	verify func(rolling []uint32) error
 }
 
-// ringDepth is the number of batches in the recovery ring, as in
-// EncodeOpts: at steady state the I/O, code and output stages each own
-// one.
-const ringDepth = 3
-
-// recBatch is one unit of the recovery ring: n stripes starting at
-// stream stripe first, owned by one stage at a time.
-type recBatch struct {
-	stripes  []*core.Stripe
-	n, first int
-	// err is the batch's code or output failure; the stages behind it
-	// skip every later batch.
-	err error
-}
-
-// stream runs one attempt's streaming pass through the recovery ring.
-// Three stages hand batches of stripes around a fixed ring:
+// stream runs one attempt's streaming pass on the batch ring
+// (runRing):
 //
-//   - the I/O stage (this goroutine) reads each batch's strips through
-//     the per-shard buffered readers, checksumming them if the rung
-//     says so, and — for a sink whose output goes to the store
-//     (repair) — hands batch N to the sink just before reading batch
-//     N+ringDepth;
+//   - the I/O stage reads each batch's strips through the per-shard
+//     buffered readers, checksumming them if the rung says so, and —
+//     for a sink whose output goes to the store (repair) — hands batch
+//     N to the sink just before reading batch N+ringDepth;
 //   - the code stage runs the rung's step (in-line, or over a worker
 //     pool when Options.Workers > 1) and updates the rolling CRCs of
 //     the columns the step leaves behind;
 //   - the output stage hands the data strips to the caller's writer
 //     (decode).
 //
-// Every store call of the attempt is issued by the I/O stage in a fixed
-// program order — batch N is read only once batch N-ringDepth has left
-// the ring, whatever the other stages' timing — so seeded fault
-// schedules stay a function of the operation sequence. Batches leave
-// the ring in stream order and each stage stops working after a failed
-// batch, so the attempt fails with the error of the earliest failing
-// batch, as a serial loop would.
+// Every store call of the attempt is issued by the I/O stage, so seeded
+// fault schedules stay a function of the operation sequence.
 func (r *recovery) stream(readers []*bufio.Reader, targets []int, g rung, sink recoverSink) error {
 	if err := sink.begin(targets); err != nil {
 		return err
 	}
 	m := r.m
 	rolling := make([]uint32, m.NumShards())
-	clk := ringClock{reg: r.reg, repair: sink.storeOutput()}
-
-	n := max(1, min(r.opt.batch(), m.Stripes))
-	pool := core.SharedStripePool(m.K, m.M, r.code.W(), m.ElemSize)
-	ring := make([]*recBatch, ringDepth)
-	for i := range ring {
-		ring[i] = &recBatch{stripes: make([]*core.Stripe, n)}
-		for j := range ring[i].stripes {
-			ring[i].stripes[j] = pool.Get()
-		}
-	}
-	defer func() {
-		for _, b := range ring {
-			for _, s := range b.stripes {
-				pool.Put(s)
-			}
-		}
-	}()
-
-	// Channels hold the whole ring, so no send ever blocks.
-	filled := make(chan *recBatch, ringDepth)
-	coded := make(chan *recBatch, ringDepth)
-	back := coded // batches returning to the I/O stage
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		runStage(filled, coded, clk, "code.seconds", "code.wait.seconds", func(b *recBatch) error {
-			stripes := b.stripes[:b.n]
-			if err := g.step(stripes, b.first); err != nil {
-				return err
-			}
-			updateCRCs(rolling, stripes, g.sumCoded)
-			return nil
-		})
-	}()
-	if !sink.storeOutput() {
-		back = make(chan *recBatch, ringDepth)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runStage(coded, back, clk, "write.seconds", "write.wait.seconds", func(b *recBatch) error {
-				return sink.consume(b.stripes[:b.n])
-			})
-		}()
-	}
-
 	var readSums []uint32 // the I/O stage's share of rolling, if any
 	if g.sumRead {
 		readSums = rolling
 	}
-
-	// I/O stage. err is the earliest batch failure seen; a read failure
-	// comes after every batch still in flight, so theirs take precedence.
-	var err, readErr error
-	inFlight := 0
-	settle := func() {
-		t0 := clk.now()
-		b := <-back
-		if sink.storeOutput() {
-			clk.observeStage("write.wait.seconds", t0) // waiting to write b
-		} else {
-			clk.observeStage("read.wait.seconds", t0) // waiting for a batch to fill
-		}
-		inFlight--
-		if err != nil {
-			return
-		}
-		if b.err == nil && sink.storeOutput() {
-			t1 := clk.now()
-			b.err = sink.consume(b.stripes[:b.n])
-			clk.observeStage("write.seconds", t1)
-		}
-		err = b.err
+	clk := ringClock{reg: r.reg, op: "decode"}
+	if sink.storeOutput() {
+		clk.op = "repair"
 	}
-	for i, next := 0, 0; next < m.Stripes; i++ {
-		b := ring[i%ringDepth]
-		if i >= ringDepth {
-			settle() // b is the batch leaving the ring
-			if err != nil {
-				break
-			}
-		}
-		b.n, b.first, b.err = min(len(b.stripes), m.Stripes-next), next, nil
-		t0 := clk.now()
-		if col, rerr := fillBatch(readers, b.stripes[:b.n], readSums); rerr != nil {
-			readErr = &quarantineError{col: col, cause: rerr}
-			break
-		}
-		clk.observeStage("read.seconds", t0)
-		filled <- b
-		inFlight++
-		next += b.n
-	}
-	close(filled)
-	for inFlight > 0 {
-		settle()
-	}
-	wg.Wait()
-	if err == nil {
-		err = readErr
-	}
+	err := runRing(r.ctx, clk, core.SharedStripePool(m.K, m.M, r.code.W(), m.ElemSize),
+		m.Stripes, r.opt.batch(), ringStages{
+			fill: func(stripes []*core.Stripe) error {
+				if col, err := fillBatch(readers, stripes, readSums); err != nil {
+					return &quarantineError{col: col, cause: err}
+				}
+				return nil
+			},
+			step: func(stripes []*core.Stripe, first int) error {
+				if err := g.step(stripes, first); err != nil {
+					return err
+				}
+				updateCRCs(rolling, stripes, g.sumCoded)
+				return nil
+			},
+			out:     sink.consume,
+			outOnIO: sink.storeOutput(),
+		})
 	if err != nil {
 		return err
 	}
@@ -593,30 +496,6 @@ func (r *recovery) stream(readers []*bufio.Reader, targets []int, g rung, sink r
 		return err
 	}
 	return sink.finish()
-}
-
-// runStage is a ring stage behind the I/O stage: it applies work to
-// each batch from in, in stream order, and passes the batch on; after a
-// failed batch it only forwards. It closes out once in is closed.
-func runStage(in <-chan *recBatch, out chan<- *recBatch, clk ringClock,
-	busy, wait string, work func(*recBatch) error) {
-	defer close(out)
-	failed := false
-	for {
-		t0 := clk.now()
-		b, ok := <-in
-		if !ok {
-			return
-		}
-		clk.observeStage(wait, t0)
-		if failed = failed || b.err != nil; !failed {
-			t1 := clk.now()
-			b.err = work(b)
-			failed = b.err != nil
-			clk.observeStage(busy, t1)
-		}
-		out <- b
-	}
 }
 
 // updateCRCs folds the given columns of each stripe into the rolling
@@ -627,34 +506,6 @@ func updateCRCs(rolling []uint32, stripes []*core.Stripe, cols []int) {
 			rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, s.Strips[i])
 		}
 	}
-}
-
-// ringClock times the recovery ring's stages into the
-// shard.<op>.<stage> histograms (op = decode or repair). With a nil
-// registry it takes no clock reads.
-type ringClock struct {
-	reg    *obs.Registry
-	repair bool
-}
-
-func (c ringClock) now() time.Time {
-	if c.reg == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeStage records the time since t0 under the stage's histogram.
-func (c ringClock) observeStage(stage string, t0 time.Time) {
-	if c.reg == nil {
-		return
-	}
-	d := time.Since(t0)
-	if c.repair {
-		observeWait(c.reg, "shard.repair."+stage, d)
-		return
-	}
-	observeWait(c.reg, "shard.decode."+stage, d)
 }
 
 // recoverSink receives the recovered stripes of one attempt. begin is

@@ -111,13 +111,14 @@ func (f *recordingFile) Close() error {
 }
 
 // TestStoreCallsDeterministic pins the order of every store call of the
-// recovery paths. Seeded fault schedules (faultstore, nodestore) are a
+// shard streams. Seeded fault schedules (faultstore, nodestore) are a
 // function of the operation sequence, so the sequence must not depend
-// on goroutine scheduling: clean, degraded and healing decodes and
-// repair each run 20 times with GOMAXPROCS ≥ 2 and must issue the
-// identical sequence every time. The clean and degraded decode
-// sequences must also equal the committed golden files, which pin
-// them across changes to the stream's internals.
+// on goroutine scheduling: encode (serial and pooled), clean, degraded
+// and healing decodes and repair each run 20 times with GOMAXPROCS ≥ 2
+// and must issue the identical sequence every time. The encode, clean
+// and degraded decode, and repair sequences must also equal the
+// committed golden files, which pin them across changes to the
+// stream's internals.
 func TestStoreCallsDeterministic(t *testing.T) {
 	if prev := runtime.GOMAXPROCS(0); prev < 2 {
 		runtime.GOMAXPROCS(2)
@@ -136,6 +137,17 @@ func TestStoreCallsDeterministic(t *testing.T) {
 			if err := os.Remove(filepath.Join(dir, m.ShardName(i))); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	encDir := t.TempDir()
+	encode := func(opt Options) func(st store.Store) error {
+		return func(st store.Store) error {
+			opt.Store = st
+			got, err := EncodeOpts(bytes.NewReader(content), size, m.FileName, m.K, m.P, m.ElemSize, encDir, opt)
+			if err == nil && fmt.Sprint(got.Checksums) != fmt.Sprint(m.Checksums) {
+				err = fmt.Errorf("encode checksums %v, want %v", got.Checksums, m.Checksums)
+			}
+			return err
 		}
 	}
 	decode := func(opt Options) func(st store.Store) error {
@@ -157,12 +169,16 @@ func TestStoreCallsDeterministic(t *testing.T) {
 		setup  func()
 		run    func(st store.Store) error
 	}{
+		{name: "encode", golden: "storecalls_encode.txt",
+			run: encode(Options{BatchStripes: 4})},
+		{name: "encode-pool", golden: "storecalls_encode.txt",
+			run: encode(Options{BatchStripes: 4, Workers: 2})},
 		{name: "clean", golden: "storecalls_decode_clean.txt",
 			run: decode(Options{BatchStripes: 4})},
 		{name: "heal", run: decode(Options{BatchStripes: 4, Heal: true})},
 		{name: "degraded", golden: "storecalls_decode_degraded.txt",
 			setup: loseShards, run: decode(Options{BatchStripes: 4, Workers: 2})},
-		{name: "repair", run: func(st store.Store) error {
+		{name: "repair", golden: "storecalls_repair.txt", run: func(st store.Store) error {
 			repaired, err := RepairOpts(manifest, Options{BatchStripes: 4, Store: st})
 			if err == nil && fmt.Sprint(repaired) != fmt.Sprint(lost) {
 				err = fmt.Errorf("repaired %v, want %v", repaired, lost)

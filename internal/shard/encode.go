@@ -2,13 +2,12 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"log/slog"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"repro/internal/codes"
 	"repro/internal/core"
@@ -17,24 +16,19 @@ import (
 	"repro/internal/store"
 )
 
-// encBatch is one unit of the encode pipeline: up to cap(stripes)
-// stripes owned by exactly one stage at a time.
-type encBatch struct {
-	stripes []*core.Stripe
-	n       int // stripes filled
-}
-
 // EncodeOpts splits the contents of r (size bytes) into k+m shards
 // written to outDir (m being the code's parity count, 2 for the default
 // liberation code), returning the manifest (also written to outDir).
 // p = 0 selects the smallest usable prime automatically.
 //
-// Three stages run concurrently, handing batches of stripes around a
-// fixed ring: a reader goroutine fills batch N+1 from r, the coding
-// stage encodes batch N (in-line, or over a pipeline worker pool when
-// opt.Workers > 1), and the writer drains batch N-1 into the shard
-// files in order, so the output is byte-identical to a sequential
-// encode no matter the worker count. Stripes come from the shared
+// The stream runs on the batch ring shared with decode and repair: the
+// calling goroutine fills batch N+1 from r, the code stage encodes
+// batch N (in-line, or over a pipeline worker pool when opt.Workers >
+// 1), and the output stage writes batch N-1 into the shard files in
+// order, so the output is byte-identical to a sequential encode no
+// matter the worker count, and every shard write comes from one
+// goroutine in a fixed order. A cancelled opt.Context stops the
+// stream before the next batch is read. Stripes come from the shared
 // stripe pool and are returned on completion; resident memory is
 // O(BatchStripes × stripe), independent of size.
 //
@@ -117,178 +111,41 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 		writers[i] = bufio.NewWriterSize(&store.OffsetWriter{F: f}, 256<<10)
 	}
 
-	// The batch ring: 3 batches so reading, encoding, and writing each
-	// own one at steady state (double buffering on both hand-offs).
-	const ringBatches = 3
-	batchN := opt.batch()
-	if batchN > stripes {
-		batchN = stripes
-	}
-	pool := core.SharedStripePool(k, parities, w, elemSize)
-	all := make([]*encBatch, 0, ringBatches)
-	free := make(chan *encBatch, ringBatches)
-	filled := make(chan *encBatch, 1)
-	encoded := make(chan *encBatch, 1)
-	for i := 0; i < ringBatches; i++ {
-		b := &encBatch{stripes: make([]*core.Stripe, batchN)}
-		for j := range b.stripes {
-			b.stripes[j] = pool.Get()
-		}
-		all = append(all, b)
-		free <- b
-	}
-	defer func() {
-		for _, b := range all {
-			for _, s := range b.stripes {
-				pool.Put(s)
-			}
-		}
-	}()
-
-	abort := make(chan struct{})
-	var failOnce sync.Once
-	var stageErr error
-	fail := func(e error) {
-		failOnce.Do(func() {
-			stageErr = e
-			close(abort)
-		})
-	}
-	now := func() time.Time {
-		if reg == nil {
-			return time.Time{}
-		}
-		return time.Now()
-	}
-	since := func(name string, t0 time.Time) {
-		if reg != nil {
-			observeWait(reg, name, time.Since(t0))
-		}
-	}
-
-	var consumed int64 // owned by the reader; read after wg.Wait
-	var wg sync.WaitGroup
-
-	// Stage 1: reader. Fills batches from r, zero-padding the tail.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		remaining := stripes
-		for remaining > 0 {
-			t0 := now()
-			var b *encBatch
-			select {
-			case b = <-free:
-			case <-abort:
-				return
-			}
-			since("shard.encode.read.wait.seconds", t0)
-			n := batchN
-			if n > remaining {
-				n = remaining
-			}
-			t1 := now()
-			for j := 0; j < n; j++ {
-				got, readErr := fillStripe(r, b.stripes[j], k)
-				consumed += got
-				if readErr != nil {
-					fail(readErr)
-					return
-				}
-			}
-			since("shard.encode.read.seconds", t1)
-			b.n = n
-			select {
-			case filled <- b:
-				addGauge(reg, "shard.encode.queue_depth", 1)
-			case <-abort:
-				return
-			}
-			remaining -= n
-		}
-		close(filled)
-	}()
-
-	// Stage 2: coding. In-line for the serial path (keeping the span
-	// profile of a sequential encode), a pipeline pool otherwise.
-	workers := opt.workerCount()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			t0 := now()
-			var b *encBatch
-			var ok bool
-			select {
-			case b, ok = <-filled:
-			case <-abort:
-				return
-			}
-			if !ok {
-				close(encoded)
-				return
-			}
-			since("shard.encode.encode.wait.seconds", t0)
-			t1 := now()
-			var encErr error
-			if workers > 1 {
-				encErr = pipeline.EncodeAll(code, b.stripes[:b.n], nil,
-					pipeline.Config{Workers: workers, Registry: reg, Context: ctx})
-			} else {
-				for _, s := range b.stripes[:b.n] {
-					if encErr = code.Encode(s, nil); encErr != nil {
-						break
+	// The batch ring: the I/O stage fills batches from r (zero-padding
+	// the tail), the code stage encodes them, and the output stage
+	// writes the k+m strips of each in stream order and folds them into
+	// the shard checksums, so shard bytes and checksums match a
+	// sequential encode exactly.
+	var consumed int64 // owned by fill; read once the ring has stopped
+	sums := make([]uint32, k+parities)
+	err = runRing(ctx, ringClock{reg: reg, op: "encode"},
+		core.SharedStripePool(k, parities, w, elemSize), stripes, opt.batch(), ringStages{
+			fill: func(stripes []*core.Stripe) error {
+				for _, s := range stripes {
+					got, readErr := fillStripe(r, s, k)
+					consumed += got
+					if readErr != nil {
+						return readErr
 					}
 				}
-			}
-			if encErr != nil {
-				fail(encErr)
-				return
-			}
-			since("shard.encode.encode.seconds", t1)
-			select {
-			case encoded <- b:
-			case <-abort:
-				return
-			}
-		}
-	}()
-
-	// Stage 3: writer (this goroutine). Drains batches in order, so
-	// shard bytes and checksums match the sequential path exactly.
-	sums := make([]uint32, k+parities)
-writeLoop:
-	for {
-		t0 := now()
-		var b *encBatch
-		var ok bool
-		select {
-		case b, ok = <-encoded:
-		case <-abort:
-			break writeLoop
-		}
-		if !ok {
-			break
-		}
-		since("shard.encode.write.wait.seconds", t0)
-		t1 := now()
-		for j := 0; j < b.n; j++ {
-			for i := 0; i < k+parities; i++ {
-				strip := b.stripes[j].Strips[i]
-				if _, writeErr := writers[i].Write(strip); writeErr != nil {
-					fail(writeErr)
-					break writeLoop
+				return nil
+			},
+			step: func(stripes []*core.Stripe, _ int) error {
+				return encodeBatch(ctx, code, stripes, opt)
+			},
+			out: func(stripes []*core.Stripe) error {
+				for _, s := range stripes {
+					for i, strip := range s.Strips {
+						if _, writeErr := writers[i].Write(strip); writeErr != nil {
+							return writeErr
+						}
+						sums[i] = crc32.Update(sums[i], crc32.IEEETable, strip)
+					}
 				}
-				sums[i] = crc32.Update(sums[i], crc32.IEEETable, strip)
-			}
-		}
-		since("shard.encode.write.seconds", t1)
-		addGauge(reg, "shard.encode.queue_depth", -1)
-		free <- b // ring capacity guarantees room
-	}
-	wg.Wait()
-	if stageErr != nil {
-		err = stageErr
+				return nil
+			},
+		})
+	if err != nil {
 		return nil, err
 	}
 	if consumed != size {
@@ -357,4 +214,19 @@ func fillStripe(r io.Reader, s *core.Stripe, k int) (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// encodeBatch computes the parity strips of every stripe in the batch,
+// over a worker pool when the options ask for one.
+func encodeBatch(ctx context.Context, code core.Code, stripes []*core.Stripe, opt Options) error {
+	if workers := opt.workerCount(); workers > 1 {
+		return pipeline.EncodeAll(code, stripes, nil,
+			pipeline.Config{Workers: workers, Registry: opt.Registry, Context: ctx})
+	}
+	for _, s := range stripes {
+		if err := code.Encode(s, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,28 +63,87 @@ func d01ReadFault(m *Manifest) *faultstore.Store {
 	}})
 }
 
-// TestRingAbortReadFault: a permanent read fault on a data shard in a
-// later batch, with two other shards already lost, leaves nothing to
-// restart with — decode and repair fail with *UnrecoverableError, stop
-// every stage and leave no repair temp behind.
-func TestRingAbortReadFault(t *testing.T) {
-	dir, manifest, _, m := ringTestFile(t)
-	removeShards(t, dir, m, 0, m.K)
+// assertNoFiles fails the test if dir holds anything: a failed encode
+// leaves no shard or manifest behind.
+func assertNoFiles(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("leftover file %q after a failed encode", e.Name())
+	}
+}
+
+// ringAbortCase is one failing stream of the ring abort tests: run
+// must fail with an error want accepts. setup, if set, runs first.
+type ringAbortCase struct {
+	name  string
+	setup func()
+	run   func() error
+	want  func(error) bool
+}
+
+// runAbortCases runs each case and checks that it failed as expected,
+// left no repair temp in dir and no file in encDir, and stopped every
+// stage of its ring.
+func runAbortCases(t *testing.T, dir, encDir string, cases []ringAbortCase) {
+	t.Helper()
 	base := runtime.NumGoroutine()
-	var u *UnrecoverableError
-
-	_, err := DecodeReport(manifest, &bytes.Buffer{}, Options{BatchStripes: 4, Store: d01ReadFault(m)})
-	if !errors.As(err, &u) {
-		t.Fatalf("decode: err = %v, want *UnrecoverableError", err)
+	for _, tc := range cases {
+		if tc.setup != nil {
+			tc.setup()
+		}
+		if err := tc.run(); !tc.want(err) {
+			t.Fatalf("%s: unexpected err = %v", tc.name, err)
+		}
+		assertNoRepairTemps(t, dir)
+		assertNoFiles(t, encDir)
+		awaitGoroutines(t, base)
 	}
-	awaitGoroutines(t, base)
+}
 
-	_, err = RepairOpts(manifest, Options{BatchStripes: 4, Store: d01ReadFault(m)})
-	if !errors.As(err, &u) {
-		t.Fatalf("repair: err = %v, want *UnrecoverableError", err)
+// TestRingAbortReadFault: a permanent store fault in a later batch
+// ends the stream with that fault and stops every stage. A read fault
+// on a data shard, with two other shards already lost, leaves decode
+// and repair nothing to restart with: *UnrecoverableError, and no
+// repair temp left behind. A write fault on one shard of an encode
+// returns the injected error and leaves no file behind.
+func TestRingAbortReadFault(t *testing.T) {
+	dir, manifest, content, m := ringTestFile(t)
+	removeShards(t, dir, m, 0, m.K)
+	encDir := t.TempDir()
+	unrecoverable := func(err error) bool {
+		var u *UnrecoverableError
+		return errors.As(err, &u)
 	}
-	assertNoRepairTemps(t, dir)
-	awaitGoroutines(t, base)
+	injected := func(err error) bool { return errors.Is(err, store.ErrInjected) }
+	cases := []ringAbortCase{
+		{name: "decode", want: unrecoverable, run: func() error {
+			_, err := DecodeReport(manifest, &bytes.Buffer{}, Options{BatchStripes: 4, Store: d01ReadFault(m)})
+			return err
+		}},
+		{name: "repair", want: unrecoverable, run: func() error {
+			_, err := RepairOpts(manifest, Options{BatchStripes: 4, Store: d01ReadFault(m)})
+			return err
+		}},
+	}
+	for _, workers := range []int{1, 2} {
+		cases = append(cases, ringAbortCase{
+			name: fmt.Sprintf("encode workers=%d", workers), want: injected,
+			run: func() error {
+				// The second 256 KiB write of d01 lands in the seventh
+				// of ten batches.
+				st := faultstore.New(store.OS{}, faultstore.Config{Seed: 3, Rules: []faultstore.Rule{
+					{Path: m.ShardName(1), Op: faultstore.OpWrite, Kind: faultstore.Permanent, Prob: 1, After: 1},
+				}})
+				_, err := EncodeOpts(bytes.NewReader(content), m.FileSize, m.FileName, m.K, m.P, m.ElemSize,
+					encDir, Options{BatchStripes: 4, Workers: workers, Store: st})
+				return err
+			}})
+	}
+	runAbortCases(t, dir, encDir, cases)
 }
 
 // failingWriter accepts left bytes, then fails every write.
@@ -98,22 +159,44 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRingAbortWriterFails: a caller writer that fails mid-stream ends
-// the decode with the writer's own error, on the clean and the degraded
-// stream alike, and stops every stage.
+// TestRingAbortWriterFails: a caller endpoint that fails mid-stream
+// ends the stream with its own error and stops every stage: a decode
+// writer, on the clean and the degraded stream alike, and an encode
+// source reader failing in the fifth of ten batches, which must leave
+// no file behind.
 func TestRingAbortWriterFails(t *testing.T) {
-	dir, manifest, _, m := ringTestFile(t)
-	base := runtime.NumGoroutine()
+	dir, manifest, content, m := ringTestFile(t)
+	encDir := t.TempDir()
+	var cases []ringAbortCase
 	for _, lose := range [][]int{nil, {2, m.K + 1}} {
-		removeShards(t, dir, m, lose...)
-		for _, opt := range []Options{{BatchStripes: 4}, {BatchStripes: 4, Workers: 2}} {
-			_, err := DecodeReport(manifest, &failingWriter{left: 1 << 20}, opt)
-			if !errors.Is(err, errWriterFull) {
-				t.Fatalf("lost %v workers=%d: err = %v, want the writer's error", lose, opt.Workers, err)
+		for _, workers := range []int{0, 2} {
+			tc := ringAbortCase{
+				name: fmt.Sprintf("decode lost %v workers=%d", lose, workers),
+				want: func(err error) bool { return errors.Is(err, errWriterFull) },
+				run: func() error {
+					_, err := DecodeReport(manifest, &failingWriter{left: 1 << 20},
+						Options{BatchStripes: 4, Workers: workers})
+					return err
+				}}
+			if workers == 0 {
+				tc.setup = func() { removeShards(t, dir, m, lose...) }
 			}
-			awaitGoroutines(t, base)
+			cases = append(cases, tc)
 		}
 	}
+	batchBytes := int64(4 * m.K * m.widthElems() * m.ElemSize)
+	for _, workers := range []int{1, 2} {
+		cases = append(cases, ringAbortCase{
+			name: fmt.Sprintf("encode workers=%d", workers),
+			want: func(err error) bool { return errors.Is(err, errInjected) },
+			run: func() error {
+				r := &failingReader{r: bytes.NewReader(content), left: 4*batchBytes + 100}
+				_, err := EncodeOpts(r, m.FileSize, m.FileName, m.K, m.P, m.ElemSize,
+					encDir, Options{BatchStripes: 4, Workers: workers})
+				return err
+			}})
+	}
+	runAbortCases(t, dir, encDir, cases)
 }
 
 // cancelStore cancels the operation's context on the n-th shard read
@@ -163,17 +246,50 @@ func (f *cancelFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestRingAbortContextCancelled: a context cancelled mid-stream (on the
-// 60th shard read: the probe takes 35, so the 25th streaming read) ends
-// decode and repair with *UnrecoverableError, the shard whose read saw
-// the cancellation quarantined with it as the cause. Every stage stops
-// and no repair temp is left behind.
+// cancelReader serves r and cancels the operation's context once left
+// bytes have been read.
+type cancelReader struct {
+	r      io.Reader
+	left   int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if c.left -= int64(n); c.left <= 0 {
+		c.cancel()
+	}
+	return n, err
+}
+
+// cancelWriter accepts every write and cancels the operation's context
+// on the first.
+type cancelWriter struct{ cancel context.CancelFunc }
+
+func (w cancelWriter) Write(p []byte) (int, error) {
+	w.cancel()
+	return len(p), nil
+}
+
+// TestRingAbortContextCancelled: a cancelled context ends every stream
+// and stops all its stages.
+//
+//   - Cancelled mid-stream, on the 60th shard read (the probe takes 35,
+//     so the 25th streaming read): decode and repair fail with
+//     *UnrecoverableError, the shard whose read saw the cancellation
+//     quarantined with it as the cause.
+//   - Cancelled between batches, by an encode source reader after the
+//     first batch or a decode writer on its first write: the stream
+//     stops before reading the next batch and fails with
+//     context.Canceled, serial or pooled.
+//
+// No shard, manifest or repair temp is left behind.
 func TestRingAbortContextCancelled(t *testing.T) {
-	dir, manifest, _, m := ringTestFile(t)
+	dir, manifest, content, m := ringTestFile(t)
 	removeShards(t, dir, m, 3)
-	base := runtime.NumGoroutine()
+	encDir := t.TempDir()
 	retry := store.RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Second}
-	cancelled := func(err error) bool {
+	quarantined := func(err error) bool {
 		var u *UnrecoverableError
 		if !errors.As(err, &u) {
 			return false
@@ -185,24 +301,47 @@ func TestRingAbortContextCancelled(t *testing.T) {
 		}
 		return false
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	st := &cancelStore{inner: store.OS{}, n: 60, cancel: cancel}
-	_, err := DecodeReport(manifest, &bytes.Buffer{},
-		Options{BatchStripes: 4, Store: st, Context: ctx, Retry: retry})
-	if !cancelled(err) {
-		t.Fatalf("decode: err = %v, want *UnrecoverableError from the cancellation", err)
+	stopped := func(err error) bool { return errors.Is(err, context.Canceled) }
+	// cancelled runs op with a fresh cancellable context.
+	cancelled := func(op func(ctx context.Context, cancel context.CancelFunc) error) func() error {
+		return func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return op(ctx, cancel)
+		}
 	}
-	awaitGoroutines(t, base)
 
-	ctx, cancel = context.WithCancel(context.Background())
-	st = &cancelStore{inner: store.OS{}, n: 60, cancel: cancel}
-	_, err = RepairOpts(manifest, Options{BatchStripes: 4, Store: st, Context: ctx, Retry: retry})
-	if !cancelled(err) {
-		t.Fatalf("repair: err = %v, want *UnrecoverableError from the cancellation", err)
+	cases := []ringAbortCase{
+		{name: "decode mid-stream", want: quarantined, run: cancelled(func(ctx context.Context, cancel context.CancelFunc) error {
+			st := &cancelStore{inner: store.OS{}, n: 60, cancel: cancel}
+			_, err := DecodeReport(manifest, &bytes.Buffer{},
+				Options{BatchStripes: 4, Store: st, Context: ctx, Retry: retry})
+			return err
+		})},
+		{name: "repair mid-stream", want: quarantined, run: cancelled(func(ctx context.Context, cancel context.CancelFunc) error {
+			st := &cancelStore{inner: store.OS{}, n: 60, cancel: cancel}
+			_, err := RepairOpts(manifest, Options{BatchStripes: 4, Store: st, Context: ctx, Retry: retry})
+			return err
+		})},
 	}
-	assertNoRepairTemps(t, dir)
-	awaitGoroutines(t, base)
+	batchBytes := int64(4 * m.K * m.widthElems() * m.ElemSize)
+	for _, workers := range []int{0, 2} {
+		cases = append(cases,
+			ringAbortCase{name: fmt.Sprintf("encode between batches workers=%d", workers), want: stopped,
+				run: cancelled(func(ctx context.Context, cancel context.CancelFunc) error {
+					r := &cancelReader{r: bytes.NewReader(content), left: batchBytes, cancel: cancel}
+					_, err := EncodeOpts(r, m.FileSize, m.FileName, m.K, m.P, m.ElemSize, encDir,
+						Options{BatchStripes: 4, Workers: workers, Context: ctx})
+					return err
+				})},
+			ringAbortCase{name: fmt.Sprintf("decode between batches workers=%d", workers), want: stopped,
+				run: cancelled(func(ctx context.Context, cancel context.CancelFunc) error {
+					_, err := DecodeReport(manifest, cancelWriter{cancel: cancel},
+						Options{BatchStripes: 4, Workers: workers, Context: ctx})
+					return err
+				})})
+	}
+	runAbortCases(t, dir, encDir, cases)
 }
 
 // TestRingRestartIntoFile: a shard that fails mid-stream is quarantined

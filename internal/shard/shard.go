@@ -5,18 +5,18 @@
 // remains recoverable. It is the library behind the raidcli tool and
 // doubles as an end-to-end exercise of the public coding API.
 //
-// The data path is streaming in both directions. Encoding overlaps
-// read → encode → write through a double-buffered batch pipeline (a
-// reader goroutine fills batch N+1 while the worker pool encodes batch N
-// and a writer goroutine drains batch N-1). Decoding and repair run the
-// same kind of three-batch ring: one goroutine reads the surviving
-// shards stripe-by-stripe through per-shard file readers (and writes
-// repaired shards) in a fixed order, a coding stage checksums and
-// decodes or corrects batch N-1, and an output stage hands batch N-2 to
-// the caller. Peak memory is O(3 × batch × stripe) regardless of file
-// size; shard health is decided up front by a cheap stat+checksum probe
-// and re-verified incrementally by rolling CRCs while the stripes
-// stream through.
+// The data path is streaming in both directions, and encode, decode
+// and repair all run on one three-batch ring (runRing): the calling
+// goroutine is the I/O stage and fills batch N (from the source file
+// for encode, from the surviving shards' readers for decode and
+// repair), a code stage encodes, decodes or corrects batch N-1, and an
+// output stage hands batch N-2 on (to the shard files for encode, to
+// the caller's writer for decode; repair writes its rebuilt shards
+// from the I/O stage instead). Every stream's store calls come from
+// one goroutine in a fixed order. Peak memory is O(3 × batch × stripe)
+// regardless of file size; shard health is decided up front by a
+// cheap stat+checksum probe and re-verified incrementally by rolling
+// CRCs while the stripes stream through.
 //
 // Every byte of I/O goes through a store.Store (see Options.Store), so
 // the path is testable under injected faults, and it is self-healing:
@@ -40,7 +40,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/codes"
 	"repro/internal/core"
@@ -100,8 +99,8 @@ type Options struct {
 	// ring of three batches, so peak memory is about
 	// 3 × BatchStripes × stripe.
 	BatchStripes int
-	// Registry, when non-nil, receives shard.* spans, the pipeline
-	// stage-wait histograms, and the queue-depth gauge, and is attached
+	// Registry, when non-nil, receives shard.* spans and the ring's
+	// per-stage busy and wait histograms, and is attached
 	// to the underlying code (liberation.* spans) and worker pool.
 	Registry *obs.Registry
 	// Tracer, when non-nil, roots a causal trace per operation: every
@@ -198,21 +197,6 @@ func (o Options) store(ctx context.Context) store.Store {
 	// a flaky device, not the logical transfer size.
 	base = store.WithMetrics(base, o.Registry)
 	return store.WithRetry(base, ctx, o.retryPolicy())
-}
-
-// observeWait is a nil-safe latency-histogram observation for the
-// pipeline stage metrics.
-func observeWait(reg *obs.Registry, name string, d time.Duration) {
-	if reg != nil {
-		reg.Observe(name, obs.LatencyBuckets, d.Seconds())
-	}
-}
-
-// addGauge is a nil-safe gauge increment.
-func addGauge(reg *obs.Registry, name string, delta float64) {
-	if reg != nil {
-		reg.Gauge(name).Add(delta)
-	}
 }
 
 // Manifest describes an encoded shard set. It is stored as JSON next to
