@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak perfbench-test clean
+.PHONY: all build test race vet fmt lint-metrics check verify conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak perfbench-test fuzz-kernels clean
 
 all: build
 
@@ -120,6 +120,14 @@ race-obs:
 # failure reproduces exactly.
 monitor-soak:
 	$(GO) test -count=1 -run 'TestMonitorChaosSoak|TestAlertLadderEndToEnd' -v ./internal/monitor/
+
+# fuzz-kernels cross-checks every xorblk kernel against the byte-loop
+# reference on fuzzer-chosen contents, lengths and misalignments. The
+# kernels run on the standard library's assembly, which picks its SIMD
+# path per CPU, so CI fuzzes them on the runner's own hardware too. A
+# failing input is saved under internal/xorblk/testdata/fuzz.
+fuzz-kernels:
+	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime 30s ./internal/xorblk
 
 # perfbench-test vets and runs the benchmark's own tests. perfbench/ is
 # a separate module, so the root `go test ./...` does not reach it, yet

@@ -1,6 +1,7 @@
 package benchutil
 
 import (
+	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/xorblk"
 )
 
 // The perf-regression gate measures a small fixed set of core hot paths —
@@ -95,17 +95,19 @@ func measure(benchTime time.Duration, bytesPerOp int, fn func()) (nsPerOp, mbPer
 	return nsPerOp, mbPerSec, bytesAlloc, allocs
 }
 
-// calibrate measures the raw XOR-kernel throughput of this machine in
+// calibrate measures the raw region-XOR throughput of this machine in
 // MB/s: the common scale factor behind every gated bench, used by
 // CompareCore to tell "this machine is slower" apart from "this code got
-// slower".
+// slower". It times the standard library's assembly subtle.XORBytes, not
+// this repository's xorblk kernels, so the yardstick does not move when
+// the code under test (or its layout) changes.
 func calibrate(benchTime time.Duration) float64 {
 	dst := make([]byte, calibBlock)
 	src := make([]byte, calibBlock)
 	for i := range src {
 		src[i] = byte(i)
 	}
-	_, mbps, _, _ := measure(benchTime, calibBlock, func() { xorblk.XorInto(dst, src) })
+	_, mbps, _, _ := measure(benchTime, calibBlock, func() { subtle.XORBytes(dst, dst, src) })
 	return mbps
 }
 

@@ -3,10 +3,10 @@ package bitmatrix
 import "repro/internal/core"
 
 // FusedOp is one element operation with up to four XOR sources folded
-// into a single pass over the destination. Fusing consecutive
-// accumulations into the same element cuts the number of times the
-// destination block travels through the cache to roughly a quarter, which
-// is where most of an XOR code's time goes at 4-8KB elements.
+// into a single kernel call. Fusing consecutive accumulations into the
+// same element cuts the kernel calls, and their dispatch and length
+// checks, to roughly a quarter; the kernel still makes one region-XOR
+// pass per source over the L1-resident destination.
 type FusedOp struct {
 	Kind           OpKind
 	DstCol, DstRow int

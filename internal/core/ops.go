@@ -80,8 +80,8 @@ func (o *Ops) String() string {
 	return fmt.Sprintf("ops{xors=%d copies=%d zeros=%d}", o.XORs, o.Copies, o.Zeros)
 }
 
-// XorInto2 sets dst ^= a ^ b (two accumulations in one pass, counted as
-// two XORs).
+// XorInto2 sets dst ^= a ^ b (two accumulations in one kernel call,
+// counted as two XORs).
 func (o *Ops) XorInto2(dst, a, b []byte) {
 	if o != nil {
 		o.XORs += 2

@@ -81,7 +81,7 @@ func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
 	}
 	p, k := c.p, c.k
 	// Row parities, batched through the fused kernels (same XOR count,
-	// one pass over pe per four sources).
+	// one kernel call per four sources).
 	for i := 0; i < p-1; i++ {
 		pe := s.Elem(k, i)
 		ops.Copy(pe, s.Elem(0, i))

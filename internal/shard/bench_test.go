@@ -11,29 +11,65 @@ import (
 	"repro/internal/store"
 )
 
-// Layer benchmarks of the recovery stream on the real filesystem: a
-// 64 MiB file, liberation k=8 p=11, 4 KiB elements, the shard set under
-// b.TempDir(). MB/s counts file bytes recovered (decode) or file bytes
-// covered by the rebuilt shards' stripes (repair), so the three figures
-// share one unit.
+// Layer benchmarks of the shard streams on the real filesystem: a 64 MiB
+// file, liberation k=8 p=11, 4 KiB elements, the shard set under
+// b.TempDir(). MB/s counts file bytes encoded, checked (verify),
+// recovered (decode) or covered by the rebuilt shards' stripes (repair),
+// so the five figures share one unit.
 //
 //	go test -run '^$' -bench BenchmarkShard ./internal/shard
 
 const benchFileSize = 64 << 20
+
+// benchContent is the seeded benchmark file.
+func benchContent() []byte {
+	content := make([]byte, benchFileSize)
+	rand.New(rand.NewSource(64)).Read(content)
+	return content
+}
+
+// benchEncode encodes content into dir.
+func benchEncode(b *testing.B, content []byte, dir string) *Manifest {
+	b.Helper()
+	m, err := EncodeOpts(bytes.NewReader(content), benchFileSize, "bench.bin", 8, 11, 4096, dir,
+		Options{Store: store.OS{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
 
 // benchShardSet encodes the benchmark file once into a fresh directory
 // and returns its manifest path.
 func benchShardSet(b *testing.B) (manifestPath string, m *Manifest) {
 	b.Helper()
 	dir := b.TempDir()
-	content := make([]byte, benchFileSize)
-	rand.New(rand.NewSource(64)).Read(content)
-	m, err := EncodeOpts(bytes.NewReader(content), benchFileSize, "bench.bin", 8, 11, 4096, dir,
-		Options{Store: store.OS{}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m = benchEncode(b, benchContent(), dir)
 	return filepath.Join(dir, ManifestName(m.FileName)), m
+}
+
+// BenchmarkShardEncode encodes the file into the same directory each
+// iteration, overwriting the previous shard set.
+func BenchmarkShardEncode(b *testing.B) {
+	content := benchContent()
+	dir := b.TempDir()
+	b.SetBytes(benchFileSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchEncode(b, content, dir)
+	}
+}
+
+// BenchmarkShardVerify checks a healthy shard set.
+func BenchmarkShardVerify(b *testing.B) {
+	manifest, _ := benchShardSet(b)
+	b.SetBytes(benchFileSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(manifest, Options{Store: store.OS{}}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchDecode(b *testing.B, lost []int) {

@@ -8,7 +8,8 @@ import (
 // FuzzKernels cross-checks every kernel against the byte-loop reference on
 // fuzzer-chosen contents, length, and head misalignment. The seed corpus
 // (inline adds plus testdata/fuzz) covers the historical trouble spots:
-// non-word lengths, 8/32-byte boundaries, and misaligned heads. `go test`
+// non-word lengths, 8/32-byte boundaries, misaligned heads, and slices
+// longer than IsZero's 4096-byte chunk. `go test`
 // always runs the seeds, so the corpus doubles as a regression suite; `go
 // test -fuzz=FuzzKernels ./internal/xorblk` explores further.
 func FuzzKernels(f *testing.F) {
@@ -19,6 +20,7 @@ func FuzzKernels(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x11}, 31), uint8(1))
 	f.Add(bytes.Repeat([]byte{0x22}, 33), uint8(5))
 	f.Add(bytes.Repeat([]byte{0x33}, 100), uint8(2))
+	f.Add(make([]byte, 5*4200), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
 		// Split the fuzz input into five equal slices sharing one backing,
 		// offset by off&7 so the heads are misaligned.

@@ -91,11 +91,11 @@ func TestXorMany(t *testing.T) {
 	}
 }
 
-// TestRaggedAndMisaligned pins the head/tail split: every kernel must
-// agree with the byte-loop reference for element sizes that are not word
-// multiples (1, 7, 31, 4097, ...) and for buffers whose first byte is not
-// 8-byte aligned — the shapes where a broken head/tail handoff silently
-// corrupts or drops bytes.
+// TestRaggedAndMisaligned checks every kernel against the byte-loop
+// reference for element sizes that are not word or vector multiples (1, 7,
+// 31, 4097, ...) and for buffers whose first byte is not 8-byte aligned —
+// the shapes where a broken head/tail handoff in the underlying region
+// XOR silently corrupts or drops bytes.
 func TestRaggedAndMisaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 2, 7, 8, 9, 15, 31, 32, 33, 63, 100, 1023, 4097} {
@@ -188,13 +188,83 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
+// TestLengthMismatchPanics pins the explicit length checks. XORBytes
+// itself only panics when dst is shorter than a source and silently XORs a
+// prefix when a source is longer, so every kernel must reject a slice of
+// the wrong length in every argument position, shorter or longer, before
+// it writes a byte of dst.
 func TestLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	kernels := []struct {
+		name string
+		args int // dst plus sources
+		call func(s [][]byte)
+	}{
+		{"Xor", 3, func(s [][]byte) { Xor(s[0], s[1], s[2]) }},
+		{"XorInto", 2, func(s [][]byte) { XorInto(s[0], s[1]) }},
+		{"XorInto2", 3, func(s [][]byte) { XorInto2(s[0], s[1], s[2]) }},
+		{"XorInto3", 4, func(s [][]byte) { XorInto3(s[0], s[1], s[2], s[3]) }},
+		{"XorInto4", 5, func(s [][]byte) { XorInto4(s[0], s[1], s[2], s[3], s[4]) }},
+		{"XorMany", 4, func(s [][]byte) { XorMany(s[0], s[1:]...) }},
+	}
+	const n = 64
+	for _, k := range kernels {
+		for pos := 0; pos < k.args; pos++ {
+			for _, delta := range []int{-1, +1} {
+				args := make([][]byte, k.args)
+				for i := range args {
+					size := n
+					if i == pos {
+						size += delta
+					}
+					args[i] = bytes.Repeat([]byte{byte(0x10 + i)}, size)
+				}
+				dst0 := append([]byte(nil), args[0]...)
+				t.Run(fmt.Sprintf("%s/arg%d/len%+d", k.name, pos, delta), func(t *testing.T) {
+					defer func() {
+						if recover() == nil {
+							t.Error("no panic")
+						}
+						if !bytes.Equal(args[0], dst0) {
+							t.Error("dst written before the panic")
+						}
+					}()
+					k.call(args)
+				})
+			}
 		}
-	}()
-	XorInto(make([]byte, 4), make([]byte, 5))
+	}
+	t.Run("XorMany/no-sources", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic")
+			}
+		}()
+		XorMany(make([]byte, n))
+	})
+}
+
+// TestIsZeroChunkBoundaries walks IsZero across the 4096-byte chunks it
+// compares against its shared zero block: a lone nonzero byte first, last,
+// or either side of any chunk boundary must be seen.
+func TestIsZeroChunkBoundaries(t *testing.T) {
+	const chunk = 4096
+	for _, n := range []int{4095, 4096, 4097, 8193, 65536} {
+		b := make([]byte, n)
+		if !IsZero(b) {
+			t.Fatalf("IsZero(zeros[%d]) = false", n)
+		}
+		positions := []int{0, n - 1}
+		for edge := chunk; edge < n; edge += chunk {
+			positions = append(positions, edge-1, edge)
+		}
+		for _, pos := range positions {
+			b[pos] = 0x80
+			if IsZero(b) {
+				t.Fatalf("IsZero missed byte at %d/%d", pos, n)
+			}
+			b[pos] = 0
+		}
+	}
 }
 
 func BenchmarkXorInto4K(b *testing.B) {
@@ -215,11 +285,10 @@ func BenchmarkXorInto64K(b *testing.B) {
 	}
 }
 
-// BenchmarkXorIntoMulti proves the fused kernels keep parity with the
-// XorInto main loop: each sub-benchmark accounts bytes per source
-// accumulated, so MB/s is directly comparable across XorInto, XorInto2,
-// and XorInto3 (the fused kernels should be at least as fast — they
-// touch dst once instead of per source).
+// BenchmarkXorIntoMulti compares the fused kernels with XorInto: each
+// sub-benchmark accounts bytes per source accumulated, so MB/s is directly
+// comparable across XorInto, XorInto2 and XorInto3 (the fused kernels
+// should be at least as fast — they save calls and length checks).
 func BenchmarkXorIntoMulti(b *testing.B) {
 	for _, size := range []int{4096, 65536} {
 		dst := make([]byte, size)
