@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak perfbench-test fuzz-kernels clean
+.PHONY: all build test race vet fmt lint-metrics check verify conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-baseline race-obs monitor-soak perfbench-test fuzz-kernels fuzz-manifest clean
 
 all: build
 
@@ -94,12 +94,6 @@ bench-gate:
 bench-correct:
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_core.json -only liberation/correct
 
-# Intra-stripe parallel-encode scaling check: asserts >= 2x at 4 workers
-# on a >= 64 MiB stripe. Needs >= 4 real CPUs and a quiet machine; on
-# smaller hosts the test measures and logs without asserting.
-bench-parallel:
-	BENCH_PARALLEL=1 $(GO) test -count=1 -run TestEncodeShardedSpeedup -v ./internal/pipeline/
-
 # Regenerate the bench-gate baseline (run on a quiet machine, then commit).
 bench-baseline:
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_core.json -write
@@ -128,6 +122,13 @@ monitor-soak:
 # failing input is saved under internal/xorblk/testdata/fuzz.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime 30s ./internal/xorblk
+
+# fuzz-manifest feeds fuzzer-mutated manifests to the shard loader: each
+# must be rejected with an error or load with a shape an encode could
+# have produced, never panic. A failing input is saved under
+# internal/shard/testdata/fuzz.
+fuzz-manifest:
+	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime 30s ./internal/shard
 
 # perfbench-test vets and runs the benchmark's own tests. perfbench/ is
 # a separate module, so the root `go test ./...` does not reach it, yet

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // encodeCLIFixture writes a random blob and encodes it through the real
@@ -153,6 +155,31 @@ func TestCLIExitCodes(t *testing.T) {
 	if exitCode(err) != exitUsage || err == nil || !strings.Contains(err.Error(), missing) {
 		t.Errorf("encode -out into a missing directory: err %v (exit %d), want a usage error naming %s",
 			err, exitCode(err), missing)
+	}
+}
+
+// TestCLIEncodeBadElemSize: a non-positive -elem is an ordinary failure
+// (exit 1) with a one-line error, raised before any shard file exists.
+func TestCLIEncodeBadElemSize(t *testing.T) {
+	blob := filepath.Join(t.TempDir(), "blob.bin")
+	if err := os.WriteFile(blob, []byte("some bytes to stripe"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, elem := range []string{"0", "-8"} {
+		t.Run("elem="+elem, func(t *testing.T) {
+			out := t.TempDir()
+			err := run("encode", []string{"-k", "4", "-elem", elem, "-out", out, blob})
+			if got := exitCode(err); got != exitFail || !errors.Is(err, core.ErrParams) {
+				t.Fatalf("encode -elem %s: err %v (exit %d), want core.ErrParams (exit %d)",
+					elem, err, got, exitFail)
+			}
+			if strings.Contains(err.Error(), "\n") {
+				t.Errorf("error spans several lines: %q", err)
+			}
+			if left, _ := os.ReadDir(out); len(left) != 0 {
+				t.Errorf("encode -elem %s left %d files in -out", elem, len(left))
+			}
+		})
 	}
 }
 

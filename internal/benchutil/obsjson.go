@@ -47,14 +47,14 @@ func RunObservedWorkload(k, p, elemSize, stripes int) (*ObsReport, error) {
 		batch[i] = s
 	}
 	cfg := pipeline.Config{Workers: 2, Registry: reg}
-	if err := pipeline.EncodeAll(code, batch, nil, cfg); err != nil {
+	if _, err := pipeline.EncodeAllReport(code, batch, nil, cfg); err != nil {
 		return nil, err
 	}
 	for _, s := range batch {
 		s.ZeroStrip(0)
 		s.ZeroStrip(2)
 	}
-	if err := pipeline.DecodeAll(code, batch, []int{0, 2}, nil, cfg); err != nil {
+	if _, err := pipeline.DecodeAllReport(code, batch, []int{0, 2}, nil, cfg); err != nil {
 		return nil, err
 	}
 

@@ -78,11 +78,6 @@ func (c *Code) W() int       { return c.w }
 // RAID-6 generators with 2w rows.
 func (c *Code) M() int { return 2 }
 
-// ElemwiseEncode marks the code for stripe-sharded encoding: the
-// schedule runners address the stripe only through Elem (see
-// core.ElemwiseEncoder).
-func (c *Code) ElemwiseEncode() {}
-
 // Generator returns the code's generator matrix (not a copy).
 func (c *Code) Generator() *Matrix { return c.gen }
 

@@ -23,9 +23,9 @@ import (
 // element. Work the bare code does inside one call (a decode that
 // re-encodes) is billed to that call's span alone.
 //
-// The decorated code answers core.Updater, core.ColumnCorrector,
-// core.ElemwiseEncoder and Prime exactly as code does. A nil registry
-// returns code itself, so untraced runs execute the bare code.
+// The decorated code answers core.Updater, core.ColumnCorrector and
+// Prime exactly as code does. A nil registry returns code itself, so
+// untraced runs execute the bare code.
 func Observe(code core.Code, reg *obs.Registry) core.Code {
 	if reg == nil {
 		return code
@@ -43,18 +43,15 @@ func Observe(code core.Code, reg *obs.Registry) core.Code {
 	// wrapper succeeds exactly when it does on the bare code.
 	u, _ := code.(core.Updater)
 	cc, _ := code.(core.ColumnCorrector)
-	_, elemwise := code.(core.ElemwiseEncoder)
 	p, primed := Prime(code)
 	switch {
-	case u != nil && cc != nil && elemwise && primed: // liberation
-		return &observedUCEP{o, updater{o, u}, corrector{o, cc}, elemwiseMark{}, prime(p)}
-	case u != nil && cc == nil && elemwise && primed: // rdp, evenodd
-		return &observedUEP{o, updater{o, u}, elemwiseMark{}, prime(p)}
-	case u != nil && cc == nil && !elemwise && !primed: // rs3
+	case u != nil && cc != nil && primed: // liberation
+		return &observedUCP{o, updater{o, u}, corrector{o, cc}, prime(p)}
+	case u != nil && cc == nil && primed: // rdp, evenodd
+		return &observedUP{o, updater{o, u}, prime(p)}
+	case u != nil && cc == nil && !primed: // rs3
 		return &observedU{o, updater{o, u}}
-	case u == nil && cc == nil && elemwise && !primed: // liberation-original, crs
-		return &observedE{o, elemwiseMark{}}
-	case u == nil && cc == nil && !elemwise && !primed: // rs
+	case u == nil && cc == nil && !primed: // liberation-original, crs, rs
 		return o
 	}
 	// No wrapper answers this mix exactly; an undecorated code is better
@@ -73,26 +70,20 @@ type observed struct {
 }
 
 type (
-	observedUCEP struct {
+	observedUCP struct {
 		*observed
 		updater
 		corrector
-		elemwiseMark
 		prime
 	}
-	observedUEP struct {
+	observedUP struct {
 		*observed
 		updater
-		elemwiseMark
 		prime
 	}
 	observedU struct {
 		*observed
 		updater
-	}
-	observedE struct {
-		*observed
-		elemwiseMark
 	}
 )
 
@@ -148,10 +139,6 @@ func (m corrector) CorrectColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 	})
 	return col, err
 }
-
-type elemwiseMark struct{}
-
-func (elemwiseMark) ElemwiseEncode() {}
 
 type prime int
 

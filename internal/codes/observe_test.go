@@ -13,15 +13,14 @@ import (
 
 // capabilities is the capability set a layer can discover on a code.
 type capabilities struct {
-	updater, corrector, elemwise, primed bool
-	p                                    int
+	updater, corrector, primed bool
+	p                          int
 }
 
 func capsOf(code core.Code) capabilities {
 	var c capabilities
 	_, c.updater = code.(core.Updater)
 	_, c.corrector = code.(core.ColumnCorrector)
-	_, c.elemwise = code.(core.ElemwiseEncoder)
 	c.p, c.primed = codes.Prime(code)
 	return c
 }

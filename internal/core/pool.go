@@ -3,8 +3,8 @@ package core
 import "sync"
 
 // StripePool recycles Stripes of one fixed shape through a sync.Pool so
-// steady-state streaming workloads (the shard pipeline, SplitBuffer-fed
-// bulk encodes) allocate nothing per stripe. Get returns a fully zeroed
+// steady-state streaming workloads (the shard encode, decode and repair
+// streams) allocate nothing per stripe. Get returns a fully zeroed
 // stripe, so pooled stripes are interchangeable with NewStripeM ones —
 // in particular the zero-padding of partially filled data strips keeps
 // working without every caller remembering to clear reused memory.
@@ -43,8 +43,7 @@ func (p *StripePool) Put(s *Stripe) {
 }
 
 // sharedPools caches one StripePool per shape, so independent callers
-// (the shard pipeline, pipeline.SplitBuffer) recycle each other's
-// stripes.
+// (the shard encode and recovery streams) recycle each other's stripes.
 var sharedPools sync.Map // stripeShape -> *StripePool
 
 type stripeShape struct{ k, m, w, elemSize int }

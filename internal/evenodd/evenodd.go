@@ -58,10 +58,6 @@ func (c *Code) P() int { return c.p }
 // W returns the column height, p-1 for EVENODD.
 func (c *Code) W() int { return c.p - 1 }
 
-// ElemwiseEncode marks the code for stripe-sharded encoding: Encode
-// addresses the stripe only through Elem (see core.ElemwiseEncoder).
-func (c *Code) ElemwiseEncode() {}
-
 func (c *Code) mod(x int) int { return core.Mod(x, c.p) }
 
 // elem returns the element at (row, col), or nil for the imaginary row.

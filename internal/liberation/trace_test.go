@@ -1,6 +1,9 @@
 package liberation
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestTraceDecode checks the Algorithm 2-4 trace: the zig-zag makes
 // exactly p iterations (Algorithm 4 retrieves two elements per step over
@@ -107,5 +110,42 @@ func TestTraceDecodeP5Case(t *testing.T) {
 	}
 	if _, err := c.TraceDecode(-1, 2); err == nil {
 		t.Error("TraceDecode(-1,2) should reject out-of-range columns")
+	}
+}
+
+func TestDecodeTraceBuilding(t *testing.T) {
+	tr := &DecodeTrace{Code: "liberation(k=5,p=5)", K: 5, P: 5, L: 1, R: 3,
+		StartRow: 2, RowSyndromes: 1, DiagSyndromes: 2}
+	tr.ReuseHit()
+	tr.ReuseHit()
+	tr.AddStep(0, 2, "row-resolve")
+	tr.AddStep(1, 4, "row-resolve", "pairA-resolve(l)")
+	if tr.StepCount() != 2 {
+		t.Errorf("StepCount = %d, want 2", tr.StepCount())
+	}
+	if tr.SyndromeSum() != 3 {
+		t.Errorf("SyndromeSum = %d, want 3", tr.SyndromeSum())
+	}
+	if tr.CommonReuse != 2 {
+		t.Errorf("CommonReuse = %d, want 2", tr.CommonReuse)
+	}
+	out := tr.String()
+	for _, want := range []string{"liberation(k=5,p=5)", "erased=(1,3)",
+		"1 row + 2 anti-diagonal", "step  0", "pairA-resolve(l)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendering missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestDecodeTraceNilSafety(t *testing.T) {
+	var tr *DecodeTrace
+	tr.AddStep(0, 0, "x")
+	tr.ReuseHit()
+	if tr.StepCount() != 0 || tr.SyndromeSum() != 0 {
+		t.Error("nil trace must report zero")
+	}
+	if tr.String() != "decode-trace(nil)" {
+		t.Errorf("nil rendering = %q", tr.String())
 	}
 }

@@ -202,14 +202,6 @@ func (r Rule) validate() error {
 	return nil
 }
 
-// ParseRules reads a JSON rules document: either a bare array of rules
-// or an object {"rules": [...]}. Any "slos" key is ignored; use
-// ParseDoc to read both halves.
-func ParseRules(r io.Reader) ([]Rule, error) {
-	rules, _, err := ParseDoc(r)
-	return rules, err
-}
-
 // ParseDoc reads the full declarative alerting document: either a bare
 // array of rules, or an object {"rules": [...], "slos": [...]} where
 // each SLO compiles into its burn-rate rule pair at monitor.New time.
@@ -238,12 +230,6 @@ func ParseDoc(r io.Reader) ([]Rule, []SLO, error) {
 		}
 	}
 	return rules, slos, nil
-}
-
-// LoadRules reads a rules file (see ParseRules).
-func LoadRules(path string) ([]Rule, error) {
-	rules, _, err := LoadDoc(path)
-	return rules, err
 }
 
 // LoadDoc reads a rules-and-SLOs file (see ParseDoc).

@@ -221,14 +221,14 @@ func TestRuleValidation(t *testing.T) {
 	}
 }
 
-// TestParseRules covers both accepted document shapes and the duration
-// forms.
+// TestParseRules covers ParseDoc's rules half: both accepted document
+// shapes, the duration forms, and the rejection of an invalid rule.
 func TestParseRules(t *testing.T) {
 	doc := `{"rules": [
 	  {"name": "a", "metric": "m.total", "kind": "rate", "op": ">",
 	   "value": 0.5, "window": "30s", "for": "10s", "severity": "critical"}
 	]}`
-	rules, err := ParseRules(strings.NewReader(doc))
+	rules, slos, err := ParseDoc(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,18 +236,21 @@ func TestParseRules(t *testing.T) {
 		rules[0].For != Duration(10*time.Second) {
 		t.Fatalf("parsed %+v", rules)
 	}
+	if len(slos) != 0 {
+		t.Fatalf("rules-only document parsed %d SLOs", len(slos))
+	}
 	bare := `[{"name": "b", "metric": "m", "value": 1, "window": 5000000000}]`
-	rules, err = ParseRules(strings.NewReader(bare))
+	rules, _, err = ParseDoc(strings.NewReader(bare))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rules[0].Window != Duration(5*time.Second) {
 		t.Errorf("numeric window = %v, want 5s", time.Duration(rules[0].Window))
 	}
-	if _, err := ParseRules(strings.NewReader(`[{"name":"", "metric":"m"}]`)); err == nil {
+	if _, _, err := ParseDoc(strings.NewReader(`[{"name":"", "metric":"m"}]`)); err == nil {
 		t.Error("invalid rule in document accepted")
 	}
-	if _, err := ParseRules(strings.NewReader(`{"rules": [{"window": "eternal"}]}`)); err == nil {
+	if _, _, err := ParseDoc(strings.NewReader(`{"rules": [{"window": "eternal"}]}`)); err == nil {
 		t.Error("bad duration accepted")
 	}
 }

@@ -217,10 +217,10 @@ func (f *family[M]) find(labels []Label) (m M, ok bool) {
 }
 
 // intern returns the metric for the sorted label set, creating it with
-// mk on first use. When the family is at the cardinality cap, the set
+// mk on first use. When the family holds DefaultLabelCap sets, the set
 // collapses into the family's "other" child (same keys, every value
 // "other"); collapsed reports that.
-func (f *family[M]) intern(labels []Label, cap int, mk func() M) (m M, collapsed bool) {
+func (f *family[M]) intern(labels []Label, mk func() M) (m M, collapsed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := range f.entries {
@@ -228,7 +228,7 @@ func (f *family[M]) intern(labels []Label, cap int, mk func() M) (m M, collapsed
 			return f.entries[i].metric, false
 		}
 	}
-	if len(f.entries) >= cap && !isOtherSet(labels) {
+	if len(f.entries) >= DefaultLabelCap && !isOtherSet(labels) {
 		other := make([]Label, len(labels))
 		for i, l := range labels {
 			other[i] = Label{Key: l.Key, Value: LabelOther}
@@ -270,23 +270,6 @@ func (f *family[M]) snapshotEntries() []famEntry[M] {
 	copy(out, f.entries)
 	f.mu.RUnlock()
 	return out
-}
-
-// labelCap resolves the registry's per-metric cardinality budget.
-func (r *Registry) labelCap() int {
-	if r.labelCapacity > 0 {
-		return r.labelCapacity
-	}
-	return DefaultLabelCap
-}
-
-// SetLabelCap overrides the per-metric label-set budget (DefaultLabelCap
-// when unset or n <= 0). Call before emitters start; the cap is read
-// without synchronization on the slow path only.
-func (r *Registry) SetLabelCap(n int) {
-	if r != nil {
-		r.labelCapacity = n
-	}
 }
 
 // counterFamily returns the labeled-counter family for name, creating it
@@ -346,7 +329,7 @@ func (r *Registry) histFamily(name string) *family[*Histogram] {
 // is Registry.Counter. A nil registry returns nil (all Counter methods
 // are nil-safe).
 //
-// Overflow: once name holds Registry.SetLabelCap distinct sets, new sets
+// Overflow: once name holds DefaultLabelCap distinct sets, new sets
 // collapse into the "other" child and each such call increments
 // obs.labels.dropped.
 func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
@@ -361,7 +344,7 @@ func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
 	if c, ok := f.find(labels); ok {
 		return c
 	}
-	c, collapsed := f.intern(labels, r.labelCap(), func() *Counter { return &Counter{} })
+	c, collapsed := f.intern(labels, func() *Counter { return &Counter{} })
 	if collapsed {
 		r.Counter(LabelsDroppedCounter).Inc()
 	}
@@ -381,7 +364,7 @@ func (r *Registry) GaugeWith(name string, labels ...Label) *Gauge {
 	if g, ok := f.find(labels); ok {
 		return g
 	}
-	g, collapsed := f.intern(labels, r.labelCap(), func() *Gauge { return &Gauge{} })
+	g, collapsed := f.intern(labels, func() *Gauge { return &Gauge{} })
 	if collapsed {
 		r.Counter(LabelsDroppedCounter).Inc()
 	}
@@ -403,7 +386,7 @@ func (r *Registry) HistogramWith(name string, bounds []float64, labels ...Label)
 	if h, ok := f.find(labels); ok {
 		return h
 	}
-	h, collapsed := f.intern(labels, r.labelCap(), func() *Histogram { return newHistogram(bounds) })
+	h, collapsed := f.intern(labels, func() *Histogram { return newHistogram(bounds) })
 	if collapsed {
 		r.Counter(LabelsDroppedCounter).Inc()
 	}

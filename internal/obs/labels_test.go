@@ -92,8 +92,7 @@ func TestLabeledCounterHotPathAllocs(t *testing.T) {
 
 func TestLabelCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetLabelCap(4)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultLabelCap; i++ {
 		r.CountWith("capped", 1, Li("node", i))
 	}
 	if v := r.Counter(LabelsDroppedCounter).Value(); v != 0 {
@@ -115,8 +114,8 @@ func TestLabelCardinalityCap(t *testing.T) {
 		t.Fatal("over-cap label set interned its own series")
 	}
 	// The family aggregate counts everything, collapsed or not.
-	if s.Counters["capped"] != 7 {
-		t.Fatalf("aggregate capped = %d, want 7", s.Counters["capped"])
+	if want := uint64(DefaultLabelCap + 3); s.Counters["capped"] != want {
+		t.Fatalf("aggregate capped = %d, want %d", s.Counters["capped"], want)
 	}
 	// Interned children stay live past the cap.
 	r.CountWith("capped", 1, Li("node", 2))

@@ -90,12 +90,10 @@ type Registry struct {
 	hists    map[string]*Histogram
 
 	// Labeled families (see labels.go): one interned label-set table per
-	// metric name, each capped at labelCap() distinct sets.
+	// metric name, each capped at DefaultLabelCap distinct sets.
 	cfam map[string]*family[*Counter]
 	gfam map[string]*family[*Gauge]
 	hfam map[string]*family[*Histogram]
-
-	labelCapacity int
 }
 
 // NewRegistry returns an empty registry.

@@ -77,28 +77,18 @@ type Report struct {
 	Elapsed      time.Duration
 }
 
-// EncodeAll encodes every stripe with the given code, in parallel.
-// Per-stripe XOR counts are accumulated into ops (which may be nil).
-func EncodeAll(code core.Code, stripes []*core.Stripe, ops *core.Ops, cfg Config) error {
-	_, err := EncodeAllReport(code, stripes, ops, cfg)
-	return err
-}
-
-// EncodeAllReport is EncodeAll plus the pool's execution Report.
+// EncodeAllReport encodes every stripe with the given code, in parallel,
+// and returns the pool's execution Report. Per-stripe XOR counts are
+// accumulated into ops (which may be nil).
 func EncodeAllReport(code core.Code, stripes []*core.Stripe, ops *core.Ops, cfg Config) (Report, error) {
 	return forEach("pipeline.encode", stripes, cfg, ops, func(s *core.Stripe, o *core.Ops) error {
 		return code.Encode(s, o)
 	})
 }
 
-// DecodeAll reconstructs the same erased strips in every stripe, in
-// parallel — the shape of a whole-disk rebuild.
-func DecodeAll(code core.Code, stripes []*core.Stripe, erased []int, ops *core.Ops, cfg Config) error {
-	_, err := DecodeAllReport(code, stripes, erased, ops, cfg)
-	return err
-}
-
-// DecodeAllReport is DecodeAll plus the pool's execution Report.
+// DecodeAllReport reconstructs the same erased strips in every stripe, in
+// parallel — the shape of a whole-disk rebuild — and returns the pool's
+// execution Report.
 func DecodeAllReport(code core.Code, stripes []*core.Stripe, erased []int, ops *core.Ops, cfg Config) (Report, error) {
 	return forEach("pipeline.decode", stripes, cfg, ops, func(s *core.Stripe, o *core.Ops) error {
 		return code.Decode(s, erased, o)
@@ -244,48 +234,4 @@ func runPool(name string, n int, cfg Config, ops *core.Ops,
 	default:
 	}
 	return finish(nil)
-}
-
-// SplitBuffer carves a contiguous data buffer into stripes for the given
-// code and element size, copying the data into the stripes' data strips.
-// The final stripe is zero-padded. It is the standard preparation step
-// for EncodeAll over a large write.
-//
-// The stripes come from the process-wide stripe pool
-// (core.SharedStripePool); callers that are done with them can hand them
-// back via ReleaseStripes so steady-state bulk traffic allocates nothing
-// per stripe. Releasing is optional — unreleased stripes are ordinary
-// garbage.
-func SplitBuffer(code core.Code, elemSize int, data []byte) []*core.Stripe {
-	k, w := code.K(), code.W()
-	pool := core.SharedStripePool(k, code.M(), w, elemSize)
-	perStripe := k * w * elemSize
-	n := (len(data) + perStripe - 1) / perStripe
-	if n == 0 {
-		n = 1
-	}
-	stripes := make([]*core.Stripe, n)
-	for i := range stripes {
-		s := pool.Get()
-		off := i * perStripe
-		for t := 0; t < k; t++ {
-			lo := off + t*w*elemSize
-			if lo >= len(data) {
-				break
-			}
-			copy(s.Strips[t], data[lo:])
-		}
-		stripes[i] = s
-	}
-	return stripes
-}
-
-// ReleaseStripes returns stripes (e.g. from SplitBuffer) to the shared
-// stripe pool. The caller must not touch them afterwards.
-func ReleaseStripes(stripes []*core.Stripe) {
-	for _, s := range stripes {
-		if s != nil {
-			core.SharedStripePool(s.K, s.M(), s.W, s.ElemSize).Put(s)
-		}
-	}
 }

@@ -23,10 +23,10 @@ func TestEncodeAllMatchesSequential(t *testing.T) {
 		serial[i] = s.Clone()
 	}
 	var opsP, opsS core.Ops
-	if err := EncodeAll(code, parallel, &opsP, Config{Workers: 4}); err != nil {
+	if _, err := EncodeAllReport(code, parallel, &opsP, Config{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeAll(code, serial, &opsS, Config{Workers: 1}); err != nil {
+	if _, err := EncodeAllReport(code, serial, &opsS, Config{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range parallel {
@@ -59,7 +59,7 @@ func TestDecodeAllRebuild(t *testing.T) {
 		s.ZeroStrip(3)
 		stripes[i] = s
 	}
-	if err := DecodeAll(code, stripes, []int{1, 3}, nil, Config{Workers: 3}); err != nil {
+	if _, err := DecodeAllReport(code, stripes, []int{1, 3}, nil, Config{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range stripes {
@@ -77,41 +77,11 @@ func TestErrorPropagation(t *testing.T) {
 		core.NewStripe(4, 5, 8),
 		core.NewStripe(4, 5, 8),
 	}
-	if err := EncodeAll(code, stripes, nil, Config{Workers: 2}); err == nil {
+	if _, err := EncodeAllReport(code, stripes, nil, Config{Workers: 2}); err == nil {
 		t.Error("shape error was swallowed")
 	}
-	if err := EncodeAll(code, stripes, nil, Config{Workers: 1}); err == nil {
+	if _, err := EncodeAllReport(code, stripes, nil, Config{Workers: 1}); err == nil {
 		t.Error("shape error was swallowed (serial)")
-	}
-}
-
-func TestSplitBuffer(t *testing.T) {
-	code, _ := liberation.New(3, 3)
-	data := make([]byte, 3*3*16*2+5) // two full stripes + ragged tail
-	rand.New(rand.NewSource(3)).Read(data)
-	stripes := SplitBuffer(code, 16, data)
-	if len(stripes) != 3 {
-		t.Fatalf("got %d stripes, want 3", len(stripes))
-	}
-	// Reassemble and compare (with zero padding at the end).
-	var reassembled []byte
-	for _, s := range stripes {
-		for t := 0; t < s.K; t++ {
-			reassembled = append(reassembled, s.Strips[t]...)
-		}
-	}
-	for i, b := range data {
-		if reassembled[i] != b {
-			t.Fatalf("byte %d differs", i)
-		}
-	}
-	for _, b := range reassembled[len(data):] {
-		if b != 0 {
-			t.Fatal("padding not zeroed")
-		}
-	}
-	if got := len(SplitBuffer(code, 16, nil)); got != 1 {
-		t.Errorf("empty buffer gave %d stripes, want 1", got)
 	}
 }
 
@@ -180,7 +150,7 @@ func BenchmarkEncodeAllWorkers(b *testing.B) {
 		b.Run(benchName(workers), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				if err := EncodeAll(code, stripes, nil, Config{Workers: workers}); err != nil {
+				if _, err := EncodeAllReport(code, stripes, nil, Config{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

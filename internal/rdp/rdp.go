@@ -59,10 +59,6 @@ func (c *Code) P() int { return c.p }
 // W returns the column height, p-1 for RDP.
 func (c *Code) W() int { return c.p - 1 }
 
-// ElemwiseEncode marks the code for stripe-sharded encoding: Encode
-// addresses the stripe only through Elem (see core.ElemwiseEncoder).
-func (c *Code) ElemwiseEncode() {}
-
 func (c *Code) mod(x int) int { return core.Mod(x, c.p) }
 
 // mathStrip maps a math-array column (0..p-1) to a strip index, or -1 for

@@ -721,8 +721,9 @@ func fillBatch(readers []*bufio.Reader, stripes []*core.Stripe, rolling []uint32
 // batch, over a worker pool when the options ask for one.
 func decodeBatch(ctx context.Context, code core.Code, stripes []*core.Stripe, erased []int, opt Options) error {
 	if workers := opt.workerCount(); workers > 1 {
-		return pipeline.DecodeAll(code, stripes, erased, nil,
+		_, err := pipeline.DecodeAllReport(code, stripes, erased, nil,
 			pipeline.Config{Workers: workers, Registry: opt.Registry, Context: ctx})
+		return err
 	}
 	for _, s := range stripes {
 		if err := code.Decode(s, erased, nil); err != nil {

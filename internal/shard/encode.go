@@ -39,6 +39,9 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 	if size < 0 {
 		return nil, fmt.Errorf("%w: negative size", core.ErrParams)
 	}
+	if elemSize < 1 {
+		return nil, fmt.Errorf("%w: element size %d, want at least 1", core.ErrParams, elemSize)
+	}
 	reg := opt.Registry
 	codeName := opt.codeName()
 	code, err := newCode(codeName, k, p, reg)
@@ -220,8 +223,9 @@ func fillStripe(r io.Reader, s *core.Stripe, k int) (int64, error) {
 // over a worker pool when the options ask for one.
 func encodeBatch(ctx context.Context, code core.Code, stripes []*core.Stripe, opt Options) error {
 	if workers := opt.workerCount(); workers > 1 {
-		return pipeline.EncodeAll(code, stripes, nil,
+		_, err := pipeline.EncodeAllReport(code, stripes, nil,
 			pipeline.Config{Workers: workers, Registry: opt.Registry, Context: ctx})
+		return err
 	}
 	for _, s := range stripes {
 		if err := code.Encode(s, nil); err != nil {

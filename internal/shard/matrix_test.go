@@ -2,8 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -195,4 +198,128 @@ func TestManifestV2UnknownCode(t *testing.T) {
 	if _, err := manifestCode(m, nil); !errors.Is(err, ErrManifest) {
 		t.Fatalf("geometry cross-check error = %v, want ErrManifest", err)
 	}
+}
+
+// freshManifest encodes size random bytes as a k=4 liberation set of
+// 64-byte elements in dir and returns the manifest's path and bytes.
+func freshManifest(t testing.TB, dir string, size int64) (string, []byte) {
+	t.Helper()
+	content := make([]byte, size)
+	rand.New(rand.NewSource(size)).Read(content)
+	m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", 4, 0, 64, dir, Options{})
+	if err != nil {
+		t.Fatalf("EncodeOpts: %v", err)
+	}
+	path := filepath.Join(dir, ManifestName(m.FileName))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
+// TestManifestImpossibleShape: a manifest whose element size, stripe
+// count or file size no encode can produce fails the manifest gate, so
+// verify does not pass a set decode cannot account for and decode does
+// not blame the shards for the manifest's fault.
+func TestManifestImpossibleShape(t *testing.T) {
+	dir := t.TempDir()
+	path, raw := freshManifest(t, dir, 2000) // k=4, w=5: 2 stripes of 1280 bytes
+	cases := []struct {
+		field string
+		value int64
+		ok    bool
+	}{
+		{"file_size", 99999999, false},
+		{"file_size", -1, false},
+		{"file_size", 2 * 4 * 5 * 64, true}, // exactly full: still a valid shape
+		{"file_size", 4 * 5 * 64, false},    // fits one stripe, yet the set has two
+		{"file_size", 4*5*64 + 1, true},     // just over one stripe
+		{"file_size", 0, false},
+		{"elem_size", 0, false},
+		{"elem_size", -4096, false},
+		{"stripes", 0, false},
+		{"stripes", -2, false},
+		{"stripes", 3, false},       // one stripe more than the file needs
+		{"stripes", 1 << 62, false}, // capacity overflows int64
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s=%d", c.field, c.value), func(t *testing.T) {
+			var doc map[string]any
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			doc[c.field] = c.value
+			mutated, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, mutated, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = LoadManifest(path)
+			if c.ok {
+				if err != nil {
+					t.Fatalf("LoadManifest: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrManifest) {
+				t.Fatalf("LoadManifest error = %v, want ErrManifest", err)
+			}
+			if err := Verify(path, Options{}); !errors.Is(err, ErrManifest) {
+				t.Errorf("Verify error = %v, want ErrManifest", err)
+			}
+			if _, err := DecodeReport(path, io.Discard, Options{}); !errors.Is(err, ErrManifest) {
+				t.Errorf("DecodeReport error = %v, want ErrManifest", err)
+			}
+		})
+	}
+}
+
+// FuzzLoadManifest feeds mutated manifests to the loader: each must be
+// rejected with an error or load with a shape an encode could have
+// produced, and none may panic. `make fuzz-manifest` explores further.
+func FuzzLoadManifest(f *testing.F) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1", "blob.bin.manifest.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	_, v4 := freshManifest(f, f.TempDir(), 2000)
+	f.Add(v4)
+	path := filepath.Join(f.TempDir(), "fuzz.manifest.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadManifest(path)
+		if err != nil {
+			return
+		}
+		if m.K < 1 || m.M < 1 || m.W < 1 || m.ElemSize < 1 || m.Stripes < 1 {
+			t.Fatalf("loaded impossible shape k=%d m=%d w=%d elem_size=%d stripes=%d",
+				m.K, m.M, m.W, m.ElemSize, m.Stripes)
+		}
+		// An encode writes the fewest stripes that hold the file, and at
+		// least one: Stripes == max(1, ceil(FileSize / (K·W·ElemSize))).
+		perStripe := big.NewInt(int64(m.K))
+		perStripe.Mul(perStripe, big.NewInt(int64(m.W)))
+		perStripe.Mul(perStripe, big.NewInt(int64(m.ElemSize)))
+		if m.FileSize < 0 {
+			t.Fatalf("loaded negative file_size %d", m.FileSize)
+		}
+		want := new(big.Int).Add(big.NewInt(m.FileSize), perStripe)
+		want.Sub(want, big.NewInt(1)).Div(want, perStripe)
+		if want.Sign() == 0 {
+			want.SetInt64(1)
+		}
+		if want.Cmp(big.NewInt(int64(m.Stripes))) != 0 {
+			t.Fatalf("loaded stripes=%d for file_size %d in %v-byte stripes, want %v",
+				m.Stripes, m.FileSize, perStripe, want)
+		}
+		if len(m.Checksums) != m.K+m.M {
+			t.Fatalf("loaded %d checksums for k=%d m=%d", len(m.Checksums), m.K, m.M)
+		}
+	})
 }

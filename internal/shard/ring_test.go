@@ -184,7 +184,7 @@ func TestRingAbortWriterFails(t *testing.T) {
 			cases = append(cases, tc)
 		}
 	}
-	batchBytes := int64(4 * m.K * m.widthElems() * m.ElemSize)
+	batchBytes := int64(4 * m.K * m.W * m.ElemSize)
 	for _, workers := range []int{1, 2} {
 		cases = append(cases, ringAbortCase{
 			name: fmt.Sprintf("encode workers=%d", workers),
@@ -324,7 +324,7 @@ func TestRingAbortContextCancelled(t *testing.T) {
 			return err
 		})},
 	}
-	batchBytes := int64(4 * m.K * m.widthElems() * m.ElemSize)
+	batchBytes := int64(4 * m.K * m.W * m.ElemSize)
 	for _, workers := range []int{0, 2} {
 		cases = append(cases,
 			ringAbortCase{name: fmt.Sprintf("encode between batches workers=%d", workers), want: stopped,

@@ -37,6 +37,7 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -61,9 +62,9 @@ func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	if code.W() != m.widthElems() {
+	if code.W() != m.W {
 		return nil, fmt.Errorf("%w: code %q has %d elements per strip, manifest says %d",
-			ErrManifest, m.Code, code.W(), m.widthElems())
+			ErrManifest, m.Code, code.W(), m.W)
 	}
 	if code.M() != m.M {
 		return nil, fmt.Errorf("%w: code %q has %d parity shards, manifest says %d",
@@ -302,9 +303,6 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 			return nil, fmt.Errorf("%w: unknown code %q (registered: %s)",
 				ErrManifest, m.Code, strings.Join(codes.Names(), ", "))
 		}
-		if m.W <= 0 {
-			return nil, fmt.Errorf("%w: missing strip width", ErrManifest)
-		}
 		if m.Version < FormatVersion {
 			// Every pre-v4 code was RAID-6.
 			m.M = 2
@@ -313,6 +311,9 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 		}
 	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrManifest, m.Version)
+	}
+	if err := m.checkShape(); err != nil {
+		return nil, err
 	}
 	if len(m.Checksums) != m.NumShards() {
 		return nil, fmt.Errorf("%w: %d checksums, want %d",
@@ -334,6 +335,33 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 		}
 	}
 	return &m, nil
+}
+
+// checkShape rejects a manifest whose geometry no encode produces: a
+// k, strip width, element size or stripe count below 1, a negative file
+// size, or a stripe count other than the fewest stripes (at least one)
+// that hold the file. The capacity Stripes·K·W·ElemSize is multiplied
+// with an overflow check, so a shape too large for int64 is rejected
+// rather than wrapped around.
+func (m *Manifest) checkShape() error {
+	if m.K < 1 || m.W < 1 || m.ElemSize < 1 || m.Stripes < 1 {
+		return fmt.Errorf("%w: k=%d w=%d elem_size=%d stripes=%d, each must be at least 1",
+			ErrManifest, m.K, m.W, m.ElemSize, m.Stripes)
+	}
+	capacity := int64(1)
+	for _, f := range []int{m.K, m.W, m.ElemSize, m.Stripes} {
+		if capacity > math.MaxInt64/int64(f) {
+			return fmt.Errorf("%w: %d stripes of k=%d w=%d elem_size=%d overflow int64",
+				ErrManifest, m.Stripes, m.K, m.W, m.ElemSize)
+		}
+		capacity *= int64(f)
+	}
+	perStripe := capacity / int64(m.Stripes)
+	if m.FileSize < 0 || m.FileSize > capacity || (m.Stripes > 1 && m.FileSize <= capacity-perStripe) {
+		return fmt.Errorf("%w: file_size %d is not what an encode stores in %d stripes of %d bytes",
+			ErrManifest, m.FileSize, m.Stripes, perStripe)
+	}
+	return nil
 }
 
 // nodeMapperOf extracts the node-placement view of a configured store,
@@ -524,13 +552,9 @@ func streamCRC(r io.Reader, buf []byte) (uint32, error) {
 // shardShape returns the strip size in bytes and the byte size every
 // shard file must have.
 func (m *Manifest) shardShape() (stripBytes int, shardSize int64) {
-	stripBytes = m.widthElems() * m.ElemSize
+	stripBytes = m.W * m.ElemSize
 	return stripBytes, int64(m.Stripes) * int64(stripBytes)
 }
-
-// widthElems returns W (elements per strip) for the manifest's code
-// (version 1 manifests had it fixed up to P at load time).
-func (m *Manifest) widthElems() int { return m.W }
 
 // writeManifest stores m as indented JSON at path through the store.
 func writeManifest(st store.Store, m *Manifest, path string) error {
